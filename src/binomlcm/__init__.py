@@ -18,6 +18,7 @@ from .errors import (
 from .exact import (
     binomial,
     binomial_row,
+    factored_decimal,
     factored_lcm,
     factored_value,
     gcd,

@@ -19,8 +19,7 @@ import sys
 import time
 from typing import Any
 
-from .errors import InternalInvariantError
-from .exact import binomial, factored_value, lcm_list
+from .exact import binomial, factored_decimal, factored_value, lcm_list
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -60,6 +59,18 @@ def _format_factored(factors: dict[int, int]) -> str:
     if not factors:
         return "1"
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
+
+
+def _factored_human(args: argparse.Namespace, label: str, factors: dict[int, int],
+                    output: dict[str, Any]) -> list[str]:
+    """The human line of a factored result, reusing output["value"] when it
+    is there; empty in --json mode, which never prints it."""
+    if args.json:
+        return []
+    text = f"{label} = {_format_factored(factors)}"
+    if "value" in output:
+        text += f" = {output['value']}"
+    return [text]
 
 
 def _cmd_vp(args: argparse.Namespace) -> int:
@@ -113,12 +124,10 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
 def _cmd_lcm_range(args: argparse.Namespace) -> int:
     factors = lcm_range_factored(args.n)
     output: dict[str, Any] = {"factors": _factor_pairs(factors)}
-    text = f"lcm(1..{args.n}) = {_format_factored(factors)}"
     if args.value:
-        value = factored_value(factors)
-        output["value"] = str(value)
-        text += f" = {value}"
-    _emit(args, "lcm-range", {"n": args.n}, output, True, [text])
+        output["value"] = factored_decimal(factors)
+    human = _factored_human(args, f"lcm(1..{args.n})", factors, output)
+    _emit(args, "lcm-range", {"n": args.n}, output, True, human)
     return 0
 
 
@@ -127,16 +136,13 @@ def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
     if args.method == "identity":
         factors = lcm_binom_row_identity(args.k)
         output: dict[str, Any] = {"factors": _factor_pairs(factors)}
-        text = f"lcm of row {args.k} = {_format_factored(factors)}"
         if args.value:
-            value = factored_value(factors)
-            output["value"] = str(value)
-            text += f" = {value}"
+            output["value"] = factored_decimal(factors)
+        human = _factored_human(args, f"lcm of row {args.k}", factors, output)
     else:
-        value = lcm_binom_row_direct(args.k)
-        output = {"value": str(value)}
-        text = f"lcm of row {args.k} = {value}"
-    _emit(args, "lcm-binom-row", inputs, output, True, [text])
+        output = {"value": str(lcm_binom_row_direct(args.k))}
+        human = [f"lcm of row {args.k} = {output['value']}"]
+    _emit(args, "lcm-binom-row", inputs, output, True, human)
     return 0
 
 
@@ -307,8 +313,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except InternalInvariantError:
-        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -5,8 +5,10 @@ pointwise exponent maximum."""
 from __future__ import annotations
 
 import math
+from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from functools import lru_cache
-from typing import Iterable, Iterator, Mapping
+from itertools import islice
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import NotPrimeError, OutOfRangeError, ZeroOperandError
 
@@ -20,6 +22,7 @@ __all__ = [
     "is_prime",
     "require_prime",
     "factored_value",
+    "factored_decimal",
     "factored_lcm",
     "validate_factored",
 ]
@@ -124,9 +127,54 @@ def require_prime(p: int, name: str = "p") -> None:
         raise NotPrimeError(f"{name} must be prime, got {p}")
 
 
+# Prime powers per leaf of the product tree: few enough Python objects for
+# the tree to stay small, narrow enough for each leaf product to stay cheap.
+_BLOCK = 64
+
+# Integer-only decimal arithmetic: any rounding raises instead of dropping a
+# digit. The default Emax (999999) would overflow at a million digits.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, Overflow])
+
+# Widest int handed to Decimal() in one piece. That conversion is quadratic
+# in the width; wider ints are split in half by bits first.
+_DECIMAL_LEAF_BITS = 1 << 13
+
+
+def _multiply_out(factors: Mapping[int, int], leaf: Callable[[int], Any]) -> Any:
+    """Product of a prime -> exponent map as a balanced tree: the prime
+    powers are multiplied in blocks of _BLOCK, each block product becomes a
+    leaf, and the leaves are multiplied pairwise until one is left."""
+    pairs = iter(factors.items())
+    level = []
+    while block := list(islice(pairs, _BLOCK)):
+        level.append(leaf(math.prod(p**e for p, e in block)))
+    if not level:
+        return leaf(1)
+    while len(level) > 1:
+        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
+    return level[0]
+
+
+def _to_decimal(n: int) -> Decimal:
+    """Exact Decimal of a natural n; call inside the _EXACT context."""
+    width = n.bit_length()
+    if width <= _DECIMAL_LEAF_BITS:
+        return Decimal(n)
+    half = width >> 1
+    high = n >> half
+    return _to_decimal(high) * Decimal(2) ** half + _to_decimal(n - (high << half))
+
+
 def factored_value(factors: Mapping[int, int]) -> int:
     """Multiply out a prime -> exponent map; the empty map is 1."""
-    return math.prod(p**e for p, e in factors.items())
+    return _multiply_out(factors, int)
+
+
+def factored_decimal(factors: Mapping[int, int]) -> str:
+    """Decimal digits of factored_value(factors), multiplied out in exact
+    decimal arithmetic so that no quadratic int -> str conversion runs."""
+    with localcontext(_EXACT):
+        return str(_multiply_out(factors, _to_decimal))
 
 
 def factored_lcm(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:

@@ -2,8 +2,11 @@ import json
 
 import pytest
 
+import binomlcm.cli as cli
 import binomlcm.verify as verify
 from binomlcm.cli import main
+from binomlcm.exact import factored_value
+from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
 
 
@@ -189,3 +192,28 @@ def test_human_and_json_numeric_parity(capsys):
     assert record["output"]["value"] in human
     for p, e in record["output"]["factors"]:
         assert str(p) in human
+
+
+@pytest.mark.parametrize("command, size, factored", [
+    ("lcm-binom-row", 5000, lcm_binom_row_identity),
+    ("lcm-range", 5000, lcm_range_factored),
+])
+def test_value_digits_identical_in_human_and_json(capsys, command, size, factored):
+    code, human, _ = run_cli(capsys, command, str(size), "--value")
+    assert code == 0
+    human_digits = human.strip().rsplit(" = ", 1)[1]
+    _, machine, _ = run_cli(capsys, command, str(size), "--value", "--json")
+    (record,) = parse_records(machine)
+    assert human_digits == record["output"]["value"] == str(factored_value(factored(size)))
+
+
+@pytest.mark.parametrize("command", ["lcm-binom-row", "lcm-range"])
+def test_json_mode_builds_no_human_text(capsys, monkeypatch, command):
+    def unused(factors):
+        raise AssertionError("human text built in --json mode")
+
+    monkeypatch.setattr(cli, "_format_factored", unused)
+    code, out, _ = run_cli(capsys, command, "100", "--value", "--json")
+    assert code == 0
+    (record,) = parse_records(out)
+    assert record["output"]["factors"][0][0] == 2

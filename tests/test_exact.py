@@ -1,5 +1,7 @@
 import math
+import sys
 from bisect import bisect_right
+from contextlib import contextmanager
 
 import pytest
 from hypothesis import given
@@ -11,12 +13,15 @@ from binomlcm import (
     ZeroOperandError,
     binomial,
     binomial_row,
+    factored_decimal,
     factored_lcm,
     factored_value,
     gcd,
     is_prime,
+    lcm_binom_row_identity,
     lcm_list,
     lcm_pair,
+    lcm_range_factored,
     primes_upto,
     validate_factored,
 )
@@ -266,3 +271,59 @@ def test_validate_factored_rejects_bad_maps():
         validate_factored({2: 0})
     with pytest.raises(OutOfRangeError):
         validate_factored({3: 1, 2: 1})
+
+
+# ------------------------------------------------- product-tree kernel
+
+
+@contextmanager
+def unlimited_int_str():
+    """Lift the interpreter's int -> str digit cap for the reference path."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+def assert_kernel_matches_left_fold(factors):
+    reference = math.prod(p**e for p, e in factors.items())
+    assert factored_value(factors) == reference
+    with unlimited_int_str():
+        assert factored_decimal(factors) == str(reference)
+
+
+def test_kernel_matches_left_fold_on_every_small_row_and_range():
+    for k in range(0, 2001):
+        assert_kernel_matches_left_fold(lcm_binom_row_identity(k))
+    for n in range(1, 2001):
+        assert_kernel_matches_left_fold(lcm_range_factored(n))
+
+
+@pytest.mark.parametrize("count", [0, 1, 63, 64, 65, 129])
+def test_kernel_block_boundaries(count):
+    primes = primes_upto(1000)[:count]
+    assert len(primes) == count
+    assert_kernel_matches_left_fold({p: 1 + i % 3 for i, p in enumerate(primes)})
+
+
+@given(st.integers(min_value=1, max_value=10**5))
+def test_kernel_matches_left_fold_on_random_rows(k):
+    assert_kernel_matches_left_fold(lcm_binom_row_identity(k))
+
+
+@pytest.mark.parametrize("factors", [{2: 9000, 3: 1}, {3: 30_000, 5: 20_000, 7: 1}, {65537: 4000}])
+def test_kernel_on_wide_prime_powers(factors):
+    assert_kernel_matches_left_fold(factors)
+
+
+def test_factored_decimal_past_a_million_digits():
+    e = 3_400_000
+    assert factored_value({2: e}) == 1 << e
+    digits = factored_decimal({2: e})
+    assert len(digits) == math.floor(e * math.log10(2)) + 1 > 10**6
+    assert int(digits[-18:]) == pow(2, e, 10**18)
