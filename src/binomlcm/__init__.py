@@ -8,6 +8,7 @@ the identities and the classical 2^(n-1) <= lcm(1..n) <= 3^n bounds.
 """
 
 from .errors import (
+    DomainError,
     InternalInvariantError,
     NotPrimeError,
     OutOfRangeError,
@@ -63,7 +64,6 @@ from .verify import (
     check_prop1,
     check_theorem1,
     psi_ratio,
-    verify_range,
     verify_range_detailed,
 )
 

@@ -61,16 +61,19 @@ def _format_factored(factors: dict[int, int]) -> str:
     return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
 
 
-def _factored_human(args: argparse.Namespace, label: str, factors: dict[int, int],
-                    output: dict[str, Any]) -> list[str]:
-    """The human line of a factored result, reusing output["value"] when it
-    is there; empty in --json mode, which never prints it."""
+def _factored_result(args: argparse.Namespace, label: str,
+                     factors: dict[int, int]) -> tuple[dict[str, Any], list[str]]:
+    """Output record and human line of a factored result, sharing one render
+    of the --value digits; --json mode builds no human line."""
+    output: dict[str, Any] = {"factors": _factor_pairs(factors)}
+    if args.value:
+        output["value"] = factored_decimal(factors)
     if args.json:
-        return []
+        return output, []
     text = f"{label} = {_format_factored(factors)}"
-    if "value" in output:
+    if args.value:
         text += f" = {output['value']}"
-    return [text]
+    return output, [text]
 
 
 def _cmd_vp(args: argparse.Namespace) -> int:
@@ -122,11 +125,7 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
 
 
 def _cmd_lcm_range(args: argparse.Namespace) -> int:
-    factors = lcm_range_factored(args.n)
-    output: dict[str, Any] = {"factors": _factor_pairs(factors)}
-    if args.value:
-        output["value"] = factored_decimal(factors)
-    human = _factored_human(args, f"lcm(1..{args.n})", factors, output)
+    output, human = _factored_result(args, f"lcm(1..{args.n})", lcm_range_factored(args.n))
     _emit(args, "lcm-range", {"n": args.n}, output, True, human)
     return 0
 
@@ -134,11 +133,7 @@ def _cmd_lcm_range(args: argparse.Namespace) -> int:
 def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
     inputs = {"k": args.k, "method": args.method}
     if args.method == "identity":
-        factors = lcm_binom_row_identity(args.k)
-        output: dict[str, Any] = {"factors": _factor_pairs(factors)}
-        if args.value:
-            output["value"] = factored_decimal(factors)
-        human = _factored_human(args, f"lcm of row {args.k}", factors, output)
+        output, human = _factored_result(args, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
     else:
         output = {"value": str(lcm_binom_row_direct(args.k))}
         human = [f"lcm of row {args.k} = {output['value']}"]
@@ -156,6 +151,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         "total": summary.total,
         "failures": summary.failures,
         "first_failure": None if summary.first_failure is None else str(summary.first_failure),
+        "first_witness": summary.first_witness,
         "elapsed": round(summary.elapsed, 6),
         "failing": [str(value) for value in failing],
     }
@@ -167,6 +163,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         shown = ", ".join(str(value) for value in failing[:20])
         more = f" (+{len(failing) - 20} more)" if len(failing) > 20 else ""
         human.append(f"failing inputs: {shown}{more}")
+        human.append(f"first witness: {summary.first_witness}")
     ok = summary.failures == 0
     _emit(args, "verify", {"check": args.check, "from": args.lo, "to": args.hi}, output, ok, human)
     return 0 if ok else 1

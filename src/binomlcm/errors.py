@@ -1,20 +1,17 @@
 """Exception types raised by the library."""
 
 
-class ZeroOperandError(ValueError):
-    """An lcm operand was zero (or negative); lcm is only taken over positives."""
+class DomainError(ValueError):
+    """An argument fell outside the operation's domain (e.g. k > n, a zero
+    lcm operand, an empty range, a sieve bound above the ceiling)."""
 
 
-class OutOfRangeError(ValueError):
-    """An integer argument fell outside the operation's domain (e.g. k > n)."""
+# Former names of DomainError, kept so existing callers keep working.
+ZeroOperandError = OutOfRangeError = ZeroValueError = DomainError
 
 
 class NotPrimeError(ValueError):
     """A number that must be prime failed the primality check."""
-
-
-class ZeroValueError(ValueError):
-    """An operation that needs a positive integer received zero."""
 
 
 class UnknownCheckError(ValueError):

@@ -10,7 +10,7 @@ from functools import lru_cache
 from itertools import islice
 from typing import Any, Callable, Iterable, Iterator, Mapping
 
-from .errors import NotPrimeError, OutOfRangeError, ZeroOperandError
+from .errors import DomainError, NotPrimeError
 
 __all__ = [
     "gcd",
@@ -31,14 +31,14 @@ __all__ = [
 def gcd(a: int, b: int) -> int:
     """Greatest common divisor of two naturals; gcd(0, 0) == 0."""
     if a < 0 or b < 0:
-        raise OutOfRangeError(f"gcd expects non-negative operands, got {a} and {b}")
+        raise DomainError(f"gcd expects non-negative operands, got {a} and {b}")
     return math.gcd(a, b)
 
 
 def lcm_pair(a: int, b: int) -> int:
     """Least common multiple of two positive integers."""
     if a < 1 or b < 1:
-        raise ZeroOperandError(f"lcm expects positive operands, got {a} and {b}")
+        raise DomainError(f"lcm expects positive operands, got {a} and {b}")
     return a * b // math.gcd(a, b)
 
 
@@ -53,9 +53,9 @@ def lcm_list(xs: Iterable[int]) -> int:
 def binomial(n: int, k: int) -> int:
     """Exact C(n, k) by the multiplicative formula; every division is exact."""
     if n < 0 or k < 0:
-        raise OutOfRangeError(f"binomial expects non-negative arguments, got n={n}, k={k}")
+        raise DomainError(f"binomial expects non-negative arguments, got n={n}, k={k}")
     if k > n:
-        raise OutOfRangeError(f"binomial expects k <= n, got n={n}, k={k}")
+        raise DomainError(f"binomial expects k <= n, got n={n}, k={k}")
     k = min(k, n - k)
     out = 1
     for i in range(1, k + 1):
@@ -67,7 +67,7 @@ def binomial(n: int, k: int) -> int:
 def binomial_row(n: int) -> Iterator[int]:
     """Yield C(n, 0), C(n, 1), ..., C(n, n) by successive exact updates."""
     if n < 0:
-        raise OutOfRangeError(f"binomial_row expects n >= 0, got {n}")
+        raise DomainError(f"binomial_row expects n >= 0, got {n}")
     entry = 1
     yield entry
     for i in range(n):
@@ -75,8 +75,14 @@ def binomial_row(n: int) -> Iterator[int]:
         yield entry
 
 
+# Largest n primes_upto serves (a 100 MB sieve); checked before allocating.
+SIEVE_LIMIT = 10**8
+
+
 def primes_upto(n: int) -> list[int]:
     """All primes p with 2 <= p <= n, ascending; empty for n < 2."""
+    if n > SIEVE_LIMIT:
+        raise DomainError(f"primes_upto serves n <= {SIEVE_LIMIT}, got {n}")
     if n < 2:
         return []
     sieve = bytearray(b"\x01") * (n + 1)
@@ -188,7 +194,7 @@ def validate_factored(factors: Mapping[int, int]) -> None:
     for p, e in factors.items():
         require_prime(p, name="factor key")
         if e < 1:
-            raise ZeroOperandError(f"exponent of prime {p} must be >= 1, got {e}")
+            raise DomainError(f"exponent of prime {p} must be >= 1, got {e}")
         if p <= previous:
-            raise OutOfRangeError(f"prime keys must be ascending, saw {p} after {previous}")
+            raise DomainError(f"prime keys must be ascending, saw {p} after {previous}")
         previous = p

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalInvariantError, OutOfRangeError, ZeroValueError
+from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, lcm_list, primes_upto, require_prime
 from .padic import expand, first_non_max_digit, vp, vp_binomial_kummer
 
@@ -42,6 +42,13 @@ class RowMaxResult:
     attained_at: int | None
 
 
+def _digit_span(k: int, p: int) -> tuple[int, int | None]:
+    """Top digit index of k >= 1 in base p, and the lowest digit index whose
+    digit is not p-1 (None when every digit is p-1)."""
+    expansion = expand(k, p)
+    return len(expansion.digits) - 1, first_non_max_digit(expansion)
+
+
 def row_max_vp(k: int, p: int) -> RowMaxResult:
     """Row-maximum valuation computed from the digits of k alone.
 
@@ -50,12 +57,10 @@ def row_max_vp(k: int, p: int) -> RowMaxResult:
     """
     require_prime(p)
     if k < 0:
-        raise OutOfRangeError(f"row_max_vp expects k >= 0, got {k}")
+        raise DomainError(f"row_max_vp expects k >= 0, got {k}")
     if k == 0:
         return RowMaxResult(k=0, p=p, max_valuation=0, attained_at=None)
-    expansion = expand(k, p)
-    top = len(expansion.digits) - 1
-    lowest_open = first_non_max_digit(expansion)
+    top, lowest_open = _digit_span(k, p)
     max_valuation = 0 if lowest_open is None else top - lowest_open
     return RowMaxResult(k=k, p=p, max_valuation=max_valuation, attained_at=p**top - 1)
 
@@ -64,7 +69,7 @@ def row_max_vp_bruteforce(k: int, p: int) -> int:
     """Independent oracle: scan the whole row, taking the largest borrow count."""
     require_prime(p)
     if k < 0:
-        raise OutOfRangeError(f"row_max_vp_bruteforce expects k >= 0, got {k}")
+        raise DomainError(f"row_max_vp_bruteforce expects k >= 0, got {k}")
     return max(vp_binomial_kummer(k, index, p) for index in range(k + 1))
 
 
@@ -76,7 +81,7 @@ def vp_lcm_range(n: int, p: int) -> int:
     """
     require_prime(p)
     if n < 1:
-        raise ZeroValueError(f"vp_lcm_range expects n >= 1, got {n}")
+        raise DomainError(f"vp_lcm_range expects n >= 1, got {n}")
     exponent = 0
     power = p
     while power <= n:
@@ -90,32 +95,25 @@ def vp_successor_formula(k: int, p: int) -> int:
     exactly the low run of (p-1)-digits, whose length is the valuation."""
     require_prime(p)
     if k < 1:
-        raise ZeroValueError(f"vp_successor_formula expects k >= 1, got {k}")
-    expansion = expand(k, p)
-    lowest_open = first_non_max_digit(expansion)
-    if lowest_open is None:
-        return len(expansion.digits)
-    return lowest_open
+        raise DomainError(f"vp_successor_formula expects k >= 1, got {k}")
+    top, lowest_open = _digit_span(k, p)
+    return top + 1 if lowest_open is None else lowest_open
 
 
 def vp_row_lcm_formula(k: int, p: int) -> int:
     """Per-prime exponent of the row lcm straight from the digits of k:
     zero when every digit is p-1, else top index minus the lowest
-    non-maximal digit index."""
+    non-maximal digit index, which is the row maximum of Prop. 1."""
     require_prime(p)
     if k < 1:
-        raise ZeroValueError(f"vp_row_lcm_formula expects k >= 1, got {k}")
-    expansion = expand(k, p)
-    lowest_open = first_non_max_digit(expansion)
-    if lowest_open is None:
-        return 0
-    return (len(expansion.digits) - 1) - lowest_open
+        raise DomainError(f"vp_row_lcm_formula expects k >= 1, got {k}")
+    return row_max_vp(k, p).max_valuation
 
 
 def lcm_range_factored(n: int) -> dict[int, int]:
     """lcm(1..n) as a prime -> exponent map (largest power fitting in n)."""
     if n < 1:
-        raise ZeroValueError(f"lcm_range_factored expects n >= 1, got {n}")
+        raise DomainError(f"lcm_range_factored expects n >= 1, got {n}")
     return {p: vp_lcm_range(n, p) for p in primes_upto(n)}
 
 
@@ -128,7 +126,7 @@ def lcm_binom_row_identity(k: int) -> dict[int, int]:
     internal invariant failure rather than a user error.
     """
     if k < 0:
-        raise OutOfRangeError(f"lcm_binom_row_identity expects k >= 0, got {k}")
+        raise DomainError(f"lcm_binom_row_identity expects k >= 0, got {k}")
     if k == 0:
         return {}
     successor = k + 1

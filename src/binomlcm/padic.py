@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import OutOfRangeError, ZeroValueError
+from .errors import DomainError
 from .exact import require_prime
 
 __all__ = [
@@ -42,7 +42,7 @@ def expand(k: int, p: int) -> BaseExpansion:
     """Base-p expansion of k; k == 0 yields an empty digit tuple."""
     require_prime(p)
     if k < 0:
-        raise OutOfRangeError(f"expand expects k >= 0, got {k}")
+        raise DomainError(f"expand expects k >= 0, got {k}")
     digits = []
     n = k
     while n:
@@ -58,7 +58,7 @@ def first_non_max_digit(expansion: BaseExpansion) -> int | None:
     one less than a power of the base.
     """
     if expansion.value < 1:
-        raise ZeroValueError("first_non_max_digit expects a positive value")
+        raise DomainError("first_non_max_digit expects a positive value")
     top = expansion.base - 1
     for i, digit in enumerate(expansion.digits):
         if digit != top:
@@ -70,7 +70,7 @@ def vp(n: int, p: int) -> int:
     """Exponent of the largest power of the prime p dividing n (n >= 1)."""
     require_prime(p)
     if n < 1:
-        raise ZeroValueError(f"vp expects n >= 1, got {n}")
+        raise DomainError(f"vp expects n >= 1, got {n}")
     exponent = 0
     q, r = divmod(n, p)
     while r == 0:
@@ -89,9 +89,9 @@ def vp_binomial_kummer(n: int, k: int, p: int) -> int:
     """
     require_prime(p)
     if n < 0 or k < 0:
-        raise OutOfRangeError(f"vp_binomial_kummer expects non-negative arguments, got n={n}, k={k}")
+        raise DomainError(f"vp_binomial_kummer expects non-negative arguments, got n={n}, k={k}")
     if k > n:
-        raise OutOfRangeError(f"vp_binomial_kummer expects k <= n, got n={n}, k={k}")
+        raise DomainError(f"vp_binomial_kummer expects k <= n, got n={n}, k={k}")
     borrows = 0
     borrow = 0
     a, b = n, k
@@ -110,7 +110,7 @@ def carries_when_adding(a: int, b: int, p: int) -> int:
     """Carry count of the schoolbook base-p addition a + b."""
     require_prime(p)
     if a < 0 or b < 0:
-        raise OutOfRangeError(f"carries_when_adding expects non-negative arguments, got {a} and {b}")
+        raise DomainError(f"carries_when_adding expects non-negative arguments, got {a} and {b}")
     carries = 0
     carry = 0
     while a or b or carry:
@@ -128,7 +128,7 @@ def vp_factorial(n: int, p: int) -> int:
     """Valuation of n! from the floor-division cascade n//p + n//p**2 + ..."""
     require_prime(p)
     if n < 0:
-        raise OutOfRangeError(f"vp_factorial expects n >= 0, got {n}")
+        raise DomainError(f"vp_factorial expects n >= 0, got {n}")
     total = 0
     q = n // p
     while q:
@@ -141,5 +141,5 @@ def vp_binomial_legendre(n: int, k: int, p: int) -> int:
     """Valuation of C(n, k) from factorial valuations; independent of the
     borrow-counting path and used as its oracle."""
     if k > n:
-        raise OutOfRangeError(f"vp_binomial_legendre expects k <= n, got n={n}, k={k}")
+        raise DomainError(f"vp_binomial_legendre expects k <= n, got n={n}, k={k}")
     return vp_factorial(n, p) - vp_factorial(k, p) - vp_factorial(n - k, p)

@@ -9,10 +9,11 @@ import math
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Union
 
-from .errors import OutOfRangeError, UnknownCheckError, ZeroValueError
-from .exact import binomial_row, factored_value, is_prime, lcm_list, lcm_pair, primes_upto
+from .errors import DomainError, UnknownCheckError
+from .exact import binomial_row, factored_value, is_prime, lcm_list, primes_upto
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -37,7 +38,6 @@ __all__ = [
     "check_proof_chain",
     "check_hanson",
     "psi_ratio",
-    "verify_range",
     "verify_range_detailed",
     "CHECKS",
 ]
@@ -64,7 +64,8 @@ class CheckReport:
 @dataclass(frozen=True)
 class RangeSummary:
     """Aggregate of a sweep over [lo, hi]; first_failure is the smallest
-    failing input, independent of execution order."""
+    failing input and first_witness its report's witness, both independent
+    of execution order."""
 
     check_name: str
     lo: int
@@ -72,6 +73,7 @@ class RangeSummary:
     total: int
     failures: int
     first_failure: int | None
+    first_witness: str | None
     elapsed: float
 
 
@@ -123,7 +125,7 @@ def check_eq3(n: int) -> CheckReport:
     """Range-lcm exponents: largest-power formula vs. valuations of the fold
     oracle, for every prime <= n and the first prime beyond n (expected 0)."""
     if n < 1:
-        raise ZeroValueError(f"check_eq3 expects n >= 1, got {n}")
+        raise DomainError(f"check_eq3 expects n >= 1, got {n}")
     fold = lcm_list(range(1, n + 1))
     formula: dict[int, int] = {}
     direct: dict[int, int] = {}
@@ -144,7 +146,7 @@ def check_eq3(n: int) -> CheckReport:
 def check_eq4(k: int) -> CheckReport:
     """Successor valuation: digit-rollover formula vs. direct division count."""
     if k < 1:
-        raise ZeroValueError(f"check_eq4 expects k >= 1, got {k}")
+        raise DomainError(f"check_eq4 expects k >= 1, got {k}")
     formula: dict[int, int] = {}
     direct: dict[int, int] = {}
     witness = None
@@ -160,7 +162,7 @@ def check_eq5(k: int) -> CheckReport:
     """Row-lcm exponent formula vs. the range/successor difference, and both
     against the row-maximum digit formula."""
     if k < 1:
-        raise ZeroValueError(f"check_eq5 expects k >= 1, got {k}")
+        raise DomainError(f"check_eq5 expects k >= 1, got {k}")
     formula: dict[int, int] = {}
     difference: dict[int, int] = {}
     witness = None
@@ -179,7 +181,7 @@ def check_eq5(k: int) -> CheckReport:
 def check_lower_bound(n: int) -> CheckReport:
     """lcm(1..n) >= 2**(n-1), compared as exact integers."""
     if n < 1:
-        raise ZeroValueError(f"check_lower_bound expects n >= 1, got {n}")
+        raise DomainError(f"check_lower_bound expects n >= 1, got {n}")
     range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     witness = None
@@ -192,13 +194,9 @@ def check_proof_chain(n: int) -> CheckReport:
     """The three exact links from the row at n-1 up to the power-of-two floor:
     lcm(1..n) = n * row lcm, n * row max >= 2**(n-1), lcm(1..n) >= n * row max."""
     if n < 1:
-        raise ZeroValueError(f"check_proof_chain expects n >= 1, got {n}")
-    row_lcm = 1
-    row_max = 1
-    for entry in binomial_row(n - 1):
-        row_lcm = lcm_pair(row_lcm, entry)
-        if entry > row_max:
-            row_max = entry
+        raise DomainError(f"check_proof_chain expects n >= 1, got {n}")
+    row_lcm = lcm_binom_row_direct(n - 1)
+    row_max = max(binomial_row(n - 1))
     range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     broken = []
@@ -215,7 +213,7 @@ def check_proof_chain(n: int) -> CheckReport:
 def check_hanson(n: int) -> CheckReport:
     """lcm(1..n) <= 3**n, compared as exact integers."""
     if n < 1:
-        raise ZeroValueError(f"check_hanson expects n >= 1, got {n}")
+        raise DomainError(f"check_hanson expects n >= 1, got {n}")
     range_lcm = factored_value(lcm_range_factored(n))
     ceiling = 3**n
     witness = None
@@ -228,7 +226,7 @@ def psi_ratio(n: int) -> float:
     """log lcm(1..n) divided by n, summed from the factored representation
     so the huge value itself is never constructed. Diagnostic output only."""
     if n < 1:
-        raise ZeroValueError(f"psi_ratio expects n >= 1, got {n}")
+        raise DomainError(f"psi_ratio expects n >= 1, got {n}")
     log_lcm = sum(vp_lcm_range(n, p) * math.log(p) for p in primes_upto(n))
     return log_lcm / n
 
@@ -245,9 +243,18 @@ CHECKS = {
 }
 
 
-def _run_one(item: tuple[str, int]) -> tuple[int, bool]:
-    name, value = item
-    return value, CHECKS[name](value).passed
+def _failing_in(check: str, lo: int, hi: int) -> tuple[list[int], str | None]:
+    """Failing inputs of one named check over [lo, hi], ascending, and the
+    witness of the first of them."""
+    run = CHECKS[check]
+    failing: list[int] = []
+    witness = None
+    for value in range(lo, hi + 1):
+        report = run(value)
+        if not report.passed:
+            witness = witness if failing else report.witness
+            failing.append(value)
+    return failing, witness
 
 
 def verify_range_detailed(
@@ -256,44 +263,36 @@ def verify_range_detailed(
     """Run one named check on every input in [lo, hi], also returning the
     sorted failing inputs.
 
-    Aggregation is keyed by input value, so totals, failure count, and
-    first_failure never depend on worker count or scheduling.
+    Workers get contiguous ascending chunks, merged in chunk order, so the
+    summary never depends on worker count or scheduling.
     """
     if check not in CHECKS:
         raise UnknownCheckError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
     if lo > hi:
-        raise OutOfRangeError(f"empty range: from={lo} > to={hi}")
+        raise DomainError(f"empty range: from={lo} > to={hi}")
     if workers < 1:
-        raise OutOfRangeError(f"workers must be >= 1, got {workers}")
+        raise DomainError(f"workers must be >= 1, got {workers}")
     started = time.perf_counter()
-    failing: list[int] = []
+    total = hi - lo + 1
+    workers = min(workers, total)
     if workers == 1:
-        run = CHECKS[check]
-        for value in range(lo, hi + 1):
-            if not run(value).passed:
-                failing.append(value)
+        chunks = [_failing_in(check, lo, hi)]
     else:
-        items = [(check, value) for value in range(lo, hi + 1)]
-        chunk = max(1, len(items) // (workers * 8))
+        size = max(1, total // (workers * 8))
+        starts = range(lo, hi + 1, size)
+        ends = (min(start + size - 1, hi) for start in starts)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            for value, passed in pool.map(_run_one, items, chunksize=chunk):
-                if not passed:
-                    failing.append(value)
-    failing.sort()
+            chunks = list(pool.map(_failing_in, repeat(check), starts, ends))
+    failing = [value for chunk_failing, _ in chunks for value in chunk_failing]
     elapsed = time.perf_counter() - started
     summary = RangeSummary(
         check_name=check,
         lo=lo,
         hi=hi,
-        total=hi - lo + 1,
+        total=total,
         failures=len(failing),
         first_failure=failing[0] if failing else None,
+        first_witness=next((witness for chunk_failing, witness in chunks if chunk_failing), None),
         elapsed=elapsed,
     )
     return summary, failing
-
-
-def verify_range(check: str, lo: int, hi: int, workers: int = 1) -> RangeSummary:
-    """Sweep a named check over an inclusive range and summarize it."""
-    summary, _ = verify_range_detailed(check, lo, hi, workers)
-    return summary

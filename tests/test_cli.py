@@ -4,8 +4,9 @@ import pytest
 
 import binomlcm.cli as cli
 import binomlcm.verify as verify
+from binomlcm import DomainError, OutOfRangeError, ZeroOperandError, ZeroValueError
 from binomlcm.cli import main
-from binomlcm.exact import factored_value
+from binomlcm.exact import SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
 
@@ -113,32 +114,56 @@ def test_verify_sweep_passes(capsys):
     assert record["output"]["failures"] == 0
     assert record["output"]["total"] == 41
     assert record["output"]["first_failure"] is None
+    assert record["output"]["first_witness"] is None
     assert record["output"]["failing"] == []
 
 
 def test_verify_failure_exit_and_listing(capsys, monkeypatch):
     def always_fail(value):
-        return CheckReport("theorem1", value, 0, 1, False, "forced mismatch")
+        return CheckReport("theorem1", value, 0, 1, False, f"forced mismatch at {value}")
 
     monkeypatch.setitem(verify.CHECKS, "theorem1", always_fail)
 
-    code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6", "--jobs", "1")
-    assert code == 1
-    assert "failures=4" in out
-    assert "failing inputs: 3, 4, 5, 6" in out
+    for jobs in ("1", "2"):
+        code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6",
+                               "--jobs", jobs)
+        assert code == 1
+        assert "failures=4" in out
+        assert "failing inputs: 3, 4, 5, 6" in out
+        assert "first witness: forced mismatch at 3\n" in out
 
-    code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6",
-                           "--jobs", "1", "--quiet")
-    assert code == 1
-    assert "failing inputs" not in out
+        code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6",
+                               "--jobs", jobs, "--quiet")
+        assert code == 1
+        assert "failing inputs" not in out
+        assert "witness" not in out
 
-    code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6",
-                           "--jobs", "1", "--json")
-    assert code == 1
-    (record,) = parse_records(out)
-    assert record["ok"] is False
-    assert record["output"]["first_failure"] == "3"
-    assert record["output"]["failing"] == ["3", "4", "5", "6"]
+        code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "3", "--to", "6",
+                               "--jobs", jobs, "--json")
+        assert code == 1
+        (record,) = parse_records(out)
+        assert record["ok"] is False
+        assert record["output"]["first_failure"] == "3"
+        assert record["output"]["first_witness"] == "forced mismatch at 3"
+        assert record["output"]["failing"] == ["3", "4", "5", "6"]
+
+
+def test_former_domain_error_names_are_domain_error_and_exit_2(capsys, monkeypatch):
+    for former in (ZeroOperandError, OutOfRangeError, ZeroValueError):
+        assert former is DomainError
+
+        def raise_former(n, former=former):
+            raise former(f"n={n} is outside the domain")
+
+        monkeypatch.setattr(cli, "lcm_range_factored", raise_former)
+        code, out, err = run_cli(capsys, "lcm-range", "5")
+        assert (code, out, err) == (2, "", "error: n=5 is outside the domain\n")
+
+
+def test_sieve_ceiling_is_a_usage_error(capsys):
+    code, out, err = run_cli(capsys, "lcm-binom-row", str(SIEVE_LIMIT))
+    assert code == 2 and out == ""
+    assert err == f"error: primes_upto serves n <= {SIEVE_LIMIT}, got {SIEVE_LIMIT + 1}\n"
 
 
 def test_verify_unknown_check_is_usage_error(capsys):

@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DomainError,
     NotPrimeError,
     OutOfRangeError,
     ZeroOperandError,
@@ -25,6 +26,7 @@ from binomlcm import (
     primes_upto,
     validate_factored,
 )
+from binomlcm.exact import SIEVE_LIMIT
 
 # ---------------------------------------------------------------- oracles
 
@@ -185,6 +187,11 @@ def test_primes_upto_examples():
     assert primes_upto(1) == []
     assert primes_upto(10) == [2, 3, 5, 7]
     assert primes_upto(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_primes_upto_rejects_bounds_above_the_ceiling():
+    with pytest.raises(DomainError, match=str(SIEVE_LIMIT)):
+        primes_upto(SIEVE_LIMIT + 1)
 
 
 def test_primes_upto_agrees_with_trial_division():

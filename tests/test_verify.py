@@ -17,7 +17,6 @@ from binomlcm import (
     check_prop1,
     check_theorem1,
     psi_ratio,
-    verify_range,
     verify_range_detailed,
 )
 
@@ -87,31 +86,31 @@ def test_psi_ratio_values():
 
 
 def test_verify_range_counts_and_summary():
-    summary = verify_range("theorem1", 0, 200, 1)
+    summary = verify_range_detailed("theorem1", 0, 200, 1)[0]
     assert summary.failures == 0
     assert summary.total == 201
     assert summary.first_failure is None
     assert summary.elapsed > 0
 
-    summary = verify_range("lower-bound", 1, 1, 4)
+    summary = verify_range_detailed("lower-bound", 1, 1, 4)[0]
     assert summary.failures == 0 and summary.total == 1
 
 
 def test_verify_range_is_worker_independent():
-    results = [verify_range("theorem1", 0, 60, workers) for workers in (1, 2, 3)]
+    results = [verify_range_detailed("theorem1", 0, 60, workers)[0] for workers in (1, 2, 3)]
     normalized = {dataclasses.replace(s, elapsed=0.0) for s in results}
     assert len(normalized) == 1
 
 
 def test_verify_range_domain_errors():
     with pytest.raises(UnknownCheckError):
-        verify_range("no-such-check", 0, 10)
+        verify_range_detailed("no-such-check", 0, 10)[0]
     with pytest.raises(OutOfRangeError):
-        verify_range("theorem1", 5, 2)
+        verify_range_detailed("theorem1", 5, 2)[0]
     with pytest.raises(OutOfRangeError):
-        verify_range("theorem1", 0, 5, workers=0)
+        verify_range_detailed("theorem1", 0, 5, workers=0)[0]
     with pytest.raises(ZeroValueError):
-        verify_range("lower-bound", 0, 3, workers=1)
+        verify_range_detailed("lower-bound", 0, 3, workers=1)[0]
 
 
 def test_failure_reports_carry_witness(monkeypatch):
@@ -130,7 +129,44 @@ def test_failure_reports_carry_witness(monkeypatch):
     summary, failing = verify_range_detailed("theorem1", 0, 12, workers=1)
     assert summary.failures == 2
     assert summary.first_failure == 5
+    assert summary.first_witness == report.witness
     assert failing == [5, 9]
+
+
+def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatch):
+    pools = []
+
+    class InlinePool:
+        """Stands in for the process pool: records its plan, runs in-process."""
+
+        def __init__(self, max_workers):
+            self.tasks = []
+            pools.append((max_workers, self.tasks))
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, checks, starts, ends):
+            self.tasks.extend(zip(starts, ends))
+            return [fn(check, lo, hi) for check, (lo, hi) in zip(checks, self.tasks)]
+
+    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+
+    summary, _ = verify_range_detailed("lower-bound", 1, 32, workers=2)
+    assert pools[-1] == (2, [(a, a + 1) for a in range(1, 33, 2)])
+    assert summary.total == 32 and summary.failures == 0
+
+    verify_range_detailed("lower-bound", 1, 37, workers=2)
+    assert pools[-1] == (2, [(a, min(a + 1, 37)) for a in range(1, 38, 2)])
+
+    verify_range_detailed("lower-bound", 1, 3, workers=5000)
+    assert pools[-1] == (3, [(1, 1), (2, 2), (3, 3)])
+
+    summary, _ = verify_range_detailed("lower-bound", 7, 7, workers=5000)
+    assert len(pools) == 3 and summary.total == 1 and summary.failures == 0
 
 
 def test_passed_reports_have_no_witness():
