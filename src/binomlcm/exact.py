@@ -96,10 +96,15 @@ def primes_upto(n: int) -> list[int]:
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
+# psi_12 = 399165290221 * 798330580441, the least strong pseudoprime to every base above.
+PRIMALITY_LIMIT = 318665857834031151167461
+
 
 def is_prime(n: int) -> bool:
     """Deterministic primality test: trial division, then strong-pseudoprime
-    rounds over a fixed base set that is exact for every n < 3.3e24."""
+    rounds over _MR_BASES; exact for n < PRIMALITY_LIMIT, DomainError at or above it."""
+    if n >= PRIMALITY_LIMIT:
+        raise DomainError(f"primality is decided only below {PRIMALITY_LIMIT}, got {n}")
     if n < 2:
         return False
     for p in _MR_BASES:

@@ -67,7 +67,6 @@ def row_max_vp(k: int, p: int) -> RowMaxResult:
 
 def row_max_vp_bruteforce(k: int, p: int) -> int:
     """Independent oracle: scan the whole row, taking the largest borrow count."""
-    require_prime(p)
     if k < 0:
         raise DomainError(f"row_max_vp_bruteforce expects k >= 0, got {k}")
     return max(vp_binomial_kummer(k, index, p) for index in range(k + 1))
@@ -93,7 +92,6 @@ def vp_lcm_range(n: int, p: int) -> int:
 def vp_successor_formula(k: int, p: int) -> int:
     """Valuation of k+1 read off the digits of k: adding one rolls over
     exactly the low run of (p-1)-digits, whose length is the valuation."""
-    require_prime(p)
     if k < 1:
         raise DomainError(f"vp_successor_formula expects k >= 1, got {k}")
     top, lowest_open = _digit_span(k, p)
@@ -104,7 +102,6 @@ def vp_row_lcm_formula(k: int, p: int) -> int:
     """Per-prime exponent of the row lcm straight from the digits of k:
     zero when every digit is p-1, else top index minus the lowest
     non-maximal digit index, which is the row maximum of Prop. 1."""
-    require_prime(p)
     if k < 1:
         raise DomainError(f"vp_row_lcm_formula expects k >= 1, got {k}")
     return row_max_vp(k, p).max_valuation
@@ -120,19 +117,17 @@ def lcm_range_factored(n: int) -> dict[int, int]:
 def lcm_binom_row_identity(k: int) -> dict[int, int]:
     """Row lcm of C(k, 0..k) in factored form, via the fast path.
 
-    For each prime p <= k+1 the exponent is the largest-power-of-p exponent
-    for the range 1..k+1 minus the valuation of k+1 itself; zero exponents
-    are dropped. Negative exponents cannot occur, so one is reported as an
-    internal invariant failure rather than a user error.
+    Theorem 1 as written: the lcm(1..k+1) map divided by k+1, i.e. v_p(k+1)
+    subtracted at each prime p dividing k+1, with zero exponents dropped.
+    Negative exponents cannot occur, so one is reported as an internal
+    invariant failure rather than a user error.
     """
     if k < 0:
         raise DomainError(f"lcm_binom_row_identity expects k >= 0, got {k}")
-    if k == 0:
-        return {}
     successor = k + 1
-    factors: dict[int, int] = {}
-    for p in primes_upto(successor):
-        exponent = vp_lcm_range(successor, p) - vp(successor, p)
+    factors = lcm_range_factored(successor)
+    for p in [p for p in factors if successor % p == 0]:
+        exponent = factors[p] - vp(successor, p)
         if exponent < 0:
             raise InternalInvariantError(
                 f"negative exponent {exponent} for prime {p} at k={k}: "
@@ -140,6 +135,8 @@ def lcm_binom_row_identity(k: int) -> dict[int, int]:
             )
         if exponent:
             factors[p] = exponent
+        else:
+            del factors[p]
     return factors
 
 

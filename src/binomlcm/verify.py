@@ -127,14 +127,11 @@ def check_eq3(n: int) -> CheckReport:
     if n < 1:
         raise DomainError(f"check_eq3 expects n >= 1, got {n}")
     fold = lcm_list(range(1, n + 1))
-    formula: dict[int, int] = {}
-    direct: dict[int, int] = {}
-    witness = None
-    for p in primes_upto(n):
-        formula[p] = vp_lcm_range(n, p)
-        direct[p] = vp(fold, p)
-        if witness is None and formula[p] != direct[p]:
-            witness = f"p={p}: power-fit exponent {formula[p]} != fold valuation {direct[p]}"
+    formula = lcm_range_factored(n)
+    direct = {p: vp(fold, p) for p in formula}
+    mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct[p]}"
+                  for p, e in formula.items() if e != direct[p])
+    witness = next(mismatches, None)
     beyond = _next_prime_above(n)
     formula[beyond] = 0
     direct[beyond] = vp(fold, beyond)
@@ -227,7 +224,7 @@ def psi_ratio(n: int) -> float:
     so the huge value itself is never constructed. Diagnostic output only."""
     if n < 1:
         raise DomainError(f"psi_ratio expects n >= 1, got {n}")
-    log_lcm = sum(vp_lcm_range(n, p) * math.log(p) for p in primes_upto(n))
+    log_lcm = sum(e * math.log(p) for p, e in lcm_range_factored(n).items())
     return log_lcm / n
 
 

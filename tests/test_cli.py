@@ -6,7 +6,7 @@ import binomlcm.cli as cli
 import binomlcm.verify as verify
 from binomlcm import DomainError, OutOfRangeError, ZeroOperandError, ZeroValueError
 from binomlcm.cli import main
-from binomlcm.exact import SIEVE_LIMIT, factored_value
+from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
 
@@ -40,6 +40,13 @@ def test_vp_composite_p_is_usage_error(capsys):
     code, _, err = run_cli(capsys, "vp", "12", "9")
     assert code == 2
     assert "p" in err and "9" in err
+
+
+def test_vp_above_primality_limit_is_usage_error(capsys):
+    psi12 = str(PRIMALITY_LIMIT)
+    code, out, err = run_cli(capsys, "vp", str(PRIMALITY_LIMIT**2), psi12)
+    assert code == 2 and out == ""
+    assert psi12 in err
 
 
 def test_vp_binom_methods_agree(capsys):

@@ -26,7 +26,7 @@ from binomlcm import (
     primes_upto,
     validate_factored,
 )
-from binomlcm.exact import SIEVE_LIMIT
+from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT
 
 # ---------------------------------------------------------------- oracles
 
@@ -220,6 +220,15 @@ def test_is_prime_on_hard_composites_and_large_primes():
     assert is_prime(10**9 + 7)
     assert is_prime(2**64 - 59)
     assert not is_prime(2**64 - 1)
+
+
+def test_is_prime_refuses_the_least_pseudoprime_to_its_bases():
+    # psi_12 is composite, yet a strong probable prime to every base 2..37.
+    assert PRIMALITY_LIMIT == 399165290221 * 798330580441
+    for n in (PRIMALITY_LIMIT, PRIMALITY_LIMIT + 1, PRIMALITY_LIMIT**2):
+        with pytest.raises(DomainError, match=str(PRIMALITY_LIMIT)):
+            is_prime(n)
+    assert not is_prime(PRIMALITY_LIMIT - 1)
 
 
 @given(st.integers(min_value=2, max_value=10**6), st.integers(min_value=2, max_value=10**6))

@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DomainError,
     NotPrimeError,
     OutOfRangeError,
     ZeroValueError,
@@ -49,6 +50,17 @@ def test_row_max_bruteforce_examples():
     assert row_max_vp_bruteforce(0, 2) == 0
     assert row_max_vp_bruteforce(5, 2) == 1
     assert row_max_vp_bruteforce(7, 2) == 0
+
+
+@pytest.mark.parametrize(
+    "function,bad_k",
+    [(vp_successor_formula, 0), (vp_row_lcm_formula, 0), (row_max_vp_bruteforce, -1)],
+)
+def test_prime_check_left_to_the_callee_still_rejects_bad_input(function, bad_k):
+    with pytest.raises(NotPrimeError):
+        function(5, 4)
+    with pytest.raises(DomainError):
+        function(bad_k, 2)
 
 
 def test_row_max_rejects_bad_input():
@@ -193,6 +205,24 @@ def test_row_identity_times_successor_is_range_lcm():
     for k in range(2001):
         lhs = (k + 1) * factored_value(lcm_binom_row_identity(k))
         assert lhs == factored_value(lcm_range_factored(k + 1)), k
+
+
+def _row_lcm_from_digits(k):
+    """Paper eq. (5) at every prime <= k+1, zero exponents dropped; it reads
+    only the base-p digits of k, never vp_lcm_range or vp."""
+    exponents = ((p, vp_row_lcm_formula(k, p)) for p in primes_upto(k + 1))
+    return [(p, e) for p, e in exponents if e]
+
+
+def test_row_identity_matches_digit_formula():
+    for k in range(1, 2001):
+        assert list(lcm_binom_row_identity(k).items()) == _row_lcm_from_digits(k), k
+
+
+# k+1 = 2^19, 3^12, 720720 = 2^4*3^2*5*7*11*13, the prime 999983, and 10^6.
+@pytest.mark.parametrize("k", [524287, 531440, 720719, 999982, 999999])
+def test_row_identity_matches_digit_formula_at_large_k(k):
+    assert list(lcm_binom_row_identity(k).items()) == _row_lcm_from_digits(k)
 
 
 def test_no_prime_exceeds_range_exponent():
