@@ -20,9 +20,7 @@ from .exact import (
     binomial,
     binomial_row,
     factored_decimal,
-    factored_lcm,
     factored_value,
-    gcd,
     is_prime,
     lcm_list,
     lcm_pair,

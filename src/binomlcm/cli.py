@@ -1,10 +1,9 @@
 """Command-line front end.
 
-Single-value queries, range verification sweeps, bound reports, and
-benchmarks over the row-lcm fast path. Human output by default; --json
-switches to machine mode with exactly one JSON record per result line,
-big integers serialized as decimal strings and factored values as
-ascending [prime, exponent] pairs.
+Single-value queries, range verification sweeps and bound reports. Human
+output by default; --json switches to machine mode with exactly one JSON
+record per result line, big integers serialized as decimal strings and
+factored values as ascending [prime, exponent] pairs.
 
 Exit codes: 0 success with all checks passed, 1 if any check failed,
 2 on usage or domain errors.
@@ -16,10 +15,10 @@ import argparse
 import json
 import os
 import sys
-import time
 from typing import Any
 
-from .exact import binomial, factored_decimal, factored_value, lcm_list
+# factored_value has no caller here; perfbench/worker.py TRACE_POINTS rebinds it.
+from .exact import binomial, factored_decimal, factored_value
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -31,8 +30,6 @@ from .padic import expand, vp, vp_binomial_kummer, vp_binomial_legendre
 from .verify import CHECKS, psi_ratio, verify_range_detailed
 
 __all__ = ["main", "build_parser"]
-
-DEFAULT_BENCH_CUTOFF = 5000
 
 
 def _emit(args: argparse.Namespace, op: str, inputs: dict[str, Any], output: Any,
@@ -175,67 +172,6 @@ def _cmd_psi_ratio(args: argparse.Namespace) -> int:
     return 0
 
 
-def _bench_one(subject: str, size: int, cutoff: int) -> dict[str, Any]:
-    started = time.perf_counter()
-    if subject == "row-lcm":
-        fast = factored_value(lcm_binom_row_identity(size))
-    else:
-        fast = factored_value(lcm_range_factored(size))
-    fast_seconds = time.perf_counter() - started
-    result: dict[str, Any] = {
-        "size": size,
-        "identity_seconds": round(fast_seconds, 6),
-        "direct_seconds": None,
-        "speedup": None,
-        "match": None,
-    }
-    if size <= cutoff:
-        started = time.perf_counter()
-        if subject == "row-lcm":
-            direct = lcm_binom_row_direct(size)
-        else:
-            direct = lcm_list(range(1, size + 1))
-        direct_seconds = time.perf_counter() - started
-        result["direct_seconds"] = round(direct_seconds, 6)
-        result["speedup"] = round(direct_seconds / max(fast_seconds, 1e-9), 2)
-        result["match"] = fast == direct
-    return result
-
-
-def _cmd_bench(args: argparse.Namespace) -> int:
-    ok = True
-    for size in args.sizes:
-        row = _bench_one(args.subject, size, args.cutoff)
-        if row["match"] is False:
-            ok = False
-        if row["direct_seconds"] is None:
-            text = (
-                f"{args.subject} size={size}: identity {row['identity_seconds']}s, "
-                f"direct skipped (over cutoff {args.cutoff})"
-            )
-        else:
-            verdict = "values match" if row["match"] else "VALUES DIFFER"
-            text = (
-                f"{args.subject} size={size}: identity {row['identity_seconds']}s, "
-                f"direct {row['direct_seconds']}s, speedup {row['speedup']}x, {verdict}"
-            )
-        inputs = {"subject": args.subject, "size": size, "cutoff": args.cutoff}
-        _emit(args, "bench", inputs, row, row["match"] is not False, [text])
-    return 0 if ok else 1
-
-
-def _sizes_arg(text: str) -> list[int]:
-    try:
-        sizes = [int(part) for part in text.split(",") if part.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"sizes must be a comma-separated list of integers, got {text!r}")
-    if not sizes:
-        raise argparse.ArgumentTypeError("at least one size is required")
-    if any(size < 1 for size in sizes):
-        raise argparse.ArgumentTypeError("every size must be >= 1")
-    return sizes
-
-
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine mode: one JSON record per result line")
@@ -243,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     parser = argparse.ArgumentParser(
         prog="binomlcm",
-        description="Exact lcm identities for binomial rows: queries, verification sweeps, benchmarks.",
+        description="Exact lcm identities for binomial rows: queries and verification sweeps.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -291,13 +227,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("psi-ratio", parents=[common], help="log lcm(1..n) / n from the factored form")
     p.add_argument("n", type=int)
     p.set_defaults(handler=_cmd_psi_ratio)
-
-    p = sub.add_parser("bench", parents=[common], help="time the fast path against the direct oracle")
-    p.add_argument("subject", choices=["row-lcm", "range-lcm"])
-    p.add_argument("--sizes", type=_sizes_arg, required=True, help="comma-separated sizes, each >= 1")
-    p.add_argument("--cutoff", type=int, default=DEFAULT_BENCH_CUTOFF,
-                   help="largest size at which the direct path is still run")
-    p.set_defaults(handler=_cmd_bench)
 
     return parser
 

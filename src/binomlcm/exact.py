@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: gcd/lcm folds, binomial coefficients, prime
-sieving, and prime-exponent maps ("factored" values) whose lcm is a
-pointwise exponent maximum."""
+"""Exact integer arithmetic: lcm folds, binomial coefficients, prime sieving,
+and prime-exponent maps ("factored" values) whose lcm is a pointwise
+exponent maximum."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from typing import Any, Callable, Iterable, Iterator, Mapping
 from .errors import DomainError, NotPrimeError
 
 __all__ = [
-    "gcd",
     "lcm_pair",
     "lcm_list",
     "binomial",
@@ -23,16 +22,8 @@ __all__ = [
     "require_prime",
     "factored_value",
     "factored_decimal",
-    "factored_lcm",
     "validate_factored",
 ]
-
-
-def gcd(a: int, b: int) -> int:
-    """Greatest common divisor of two naturals; gcd(0, 0) == 0."""
-    if a < 0 or b < 0:
-        raise DomainError(f"gcd expects non-negative operands, got {a} and {b}")
-    return math.gcd(a, b)
 
 
 def lcm_pair(a: int, b: int) -> int:
@@ -186,11 +177,6 @@ def factored_decimal(factors: Mapping[int, int]) -> str:
     decimal arithmetic so that no quadratic int -> str conversion runs."""
     with localcontext(_EXACT):
         return str(_multiply_out(factors, _to_decimal))
-
-
-def factored_lcm(a: Mapping[int, int], b: Mapping[int, int]) -> dict[int, int]:
-    """lcm of two factored values: pointwise exponent max over the union of primes."""
-    return {p: max(a.get(p, 0), b.get(p, 0)) for p in sorted(set(a) | set(b))}
 
 
 def validate_factored(factors: Mapping[int, int]) -> None:

@@ -7,10 +7,15 @@ performance gates of criterion 7.
 """
 
 import dataclasses
+import json
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
+import binomlcm
 from binomlcm import (
     binomial,
     factored_value,
@@ -26,6 +31,14 @@ from binomlcm import (
 
 WORKERS = os.cpu_count() or 1
 PRIMES_50 = primes_upto(50)
+
+_COLD_IDENTITY = """
+import json, sys, time
+from binomlcm import lcm_binom_row_identity
+started = time.perf_counter()
+factors = lcm_binom_row_identity(int(sys.argv[1]))
+print(json.dumps({"seconds": time.perf_counter() - started, "factors": list(factors.items())}))
+"""
 
 
 def _report(name: str, ok: bool, detail: str = "") -> None:
@@ -134,6 +147,38 @@ def test_criterion_7_fast_path_performance():
     ok = values_match and speedup >= 10.0 and big_seconds < 1.0
     _report(
         "criterion 7: identity path >= 10x direct at k=5000 and < 1s at k=1e5",
+        ok,
+        f"k=5000: identity {fast_seconds:.4f}s vs direct {direct_seconds:.4f}s "
+        f"({speedup:.0f}x); k=1e5: {big_seconds:.3f}s; values match: {values_match}",
+    )
+
+
+def _cold_identity(k: int) -> tuple[float, dict[int, int]]:
+    """lcm_binom_row_identity(k) timed in a fresh interpreter, whose primality
+    cache is empty; returns the seconds and the factored result."""
+    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", _COLD_IDENTITY, str(k)], env=env,
+                          capture_output=True, text=True, check=True, timeout=120)
+    record = json.loads(done.stdout)
+    return record["seconds"], dict(record["factors"])
+
+
+def test_criterion_7_fast_path_performance_cold():
+    fast_seconds, fast = _cold_identity(5000)
+
+    started = time.perf_counter()
+    direct = lcm_binom_row_direct(5000)
+    direct_seconds = time.perf_counter() - started
+
+    values_match = factored_value(fast) == direct
+    speedup = direct_seconds / max(fast_seconds, 1e-9)
+    big_seconds, _ = _cold_identity(100_000)
+
+    ok = values_match and speedup >= 10.0 and big_seconds < 1.0
+    _report(
+        "criterion 7, cold: identity path >= 10x direct at k=5000 and < 1s at k=1e5, "
+        "each in a fresh interpreter",
         ok,
         f"k=5000: identity {fast_seconds:.4f}s vs direct {direct_seconds:.4f}s "
         f"({speedup:.0f}x); k=1e5: {big_seconds:.3f}s; values match: {values_match}",

@@ -15,9 +15,7 @@ from binomlcm import (
     binomial,
     binomial_row,
     factored_decimal,
-    factored_lcm,
     factored_value,
-    gcd,
     is_prime,
     lcm_binom_row_identity,
     lcm_list,
@@ -67,32 +65,7 @@ def brute_lcm(values: list[int]) -> int:
 
 
 positive_small = st.integers(min_value=1, max_value=12)
-naturals = st.integers(min_value=0, max_value=10**30)
 positives = st.integers(min_value=1, max_value=10**30)
-
-
-# -------------------------------------------------------------------- gcd
-
-
-def test_gcd_examples():
-    assert gcd(0, 5) == 5
-    assert gcd(12, 18) == 6
-    assert gcd(7, 7) == 7
-    assert gcd(0, 0) == 0
-
-
-def test_gcd_rejects_negatives():
-    with pytest.raises(OutOfRangeError):
-        gcd(-4, 2)
-
-
-@given(naturals, naturals)
-def test_gcd_divides_both(a, b):
-    g = gcd(a, b)
-    if g:
-        assert a % g == 0 and b % g == 0
-    else:
-        assert a == b == 0
 
 
 # -------------------------------------------------------------------- lcm
@@ -109,7 +82,7 @@ def test_lcm_pair_examples():
 
 @given(positives, positives)
 def test_lcm_gcd_product_identity(a, b):
-    assert lcm_pair(a, b) * gcd(a, b) == a * b
+    assert lcm_pair(a, b) * math.gcd(a, b) == a * b
 
 
 @given(st.lists(positive_small, max_size=4))
@@ -132,7 +105,7 @@ def test_huge_values_stay_exact():
     # well past 100,000 decimal digits once multiplied out
     x = 7**120000
     y = 3**120000
-    assert gcd(x, y) == 1
+    assert math.gcd(x, y) == 1
     combined = lcm_pair(x, y)
     assert combined == x * y
     assert combined // x == y and combined % y == 0
@@ -243,29 +216,6 @@ def test_factored_value_examples():
     assert factored_value({}) == 1
     assert factored_value({2: 2, 3: 1, 5: 1}) == 60
     assert factored_value({2: 3, 3: 2, 5: 1, 7: 1}) == 2520
-
-
-def test_factored_lcm_examples():
-    assert factored_lcm({}, {3: 2}) == {3: 2}
-    assert factored_lcm({2: 1, 3: 1}, {2: 2}) == {2: 2, 3: 1}
-    assert factored_lcm({5: 1}, {5: 1}) == {5: 1}
-
-
-small_factored = st.dictionaries(
-    st.sampled_from([2, 3, 5, 7, 11, 13]),
-    st.integers(min_value=1, max_value=5),
-    max_size=4,
-)
-
-
-@given(small_factored, small_factored)
-def test_factored_lcm_is_value_lcm(f, g):
-    assert factored_value(factored_lcm(f, g)) == lcm_pair(factored_value(f), factored_value(g))
-
-
-@given(small_factored, small_factored)
-def test_factored_lcm_output_is_valid(f, g):
-    validate_factored(factored_lcm(f, g))
 
 
 def test_factor_round_trip_is_identity():

@@ -168,6 +168,9 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatc
     summary, _ = verify_range_detailed("lower-bound", 7, 7, workers=5000)
     assert len(pools) == 3 and summary.total == 1 and summary.failures == 0
 
+    verify_range_detailed("lower-bound", 1, 200, workers=5000)
+    assert pools[-1][0] == verify.MAX_WORKERS == 61
+
 
 def test_passed_reports_have_no_witness():
     for k in range(0, 30):
