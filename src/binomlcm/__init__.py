@@ -22,8 +22,6 @@ from .exact import (
     factored_decimal,
     factored_value,
     is_prime,
-    lcm_list,
-    lcm_pair,
     primes_upto,
     require_prime,
     validate_factored,

@@ -1,6 +1,6 @@
-"""Exact integer arithmetic: lcm folds, binomial coefficients, prime sieving,
-and prime-exponent maps ("factored" values) whose lcm is a pointwise
-exponent maximum."""
+"""Exact integer arithmetic: binomial coefficients, prime sieving,
+primality, and prime-exponent maps ("factored" values) multiplied out
+exactly."""
 
 from __future__ import annotations
 
@@ -8,13 +8,11 @@ import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from functools import lru_cache
 from itertools import islice
-from typing import Any, Callable, Iterable, Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping
 
 from .errors import DomainError, NotPrimeError
 
 __all__ = [
-    "lcm_pair",
-    "lcm_list",
     "binomial",
     "binomial_row",
     "primes_upto",
@@ -26,33 +24,13 @@ __all__ = [
 ]
 
 
-def lcm_pair(a: int, b: int) -> int:
-    """Least common multiple of two positive integers."""
-    if a < 1 or b < 1:
-        raise DomainError(f"lcm expects positive operands, got {a} and {b}")
-    return a * b // math.gcd(a, b)
-
-
-def lcm_list(xs: Iterable[int]) -> int:
-    """Left fold of lcm_pair; the empty fold is 1."""
-    acc = 1
-    for x in xs:
-        acc = lcm_pair(acc, x)
-    return acc
-
-
 def binomial(n: int, k: int) -> int:
-    """Exact C(n, k) by the multiplicative formula; every division is exact."""
+    """Exact C(n, k) for 0 <= k <= n."""
     if n < 0 or k < 0:
         raise DomainError(f"binomial expects non-negative arguments, got n={n}, k={k}")
     if k > n:
         raise DomainError(f"binomial expects k <= n, got n={n}, k={k}")
-    k = min(k, n - k)
-    out = 1
-    for i in range(1, k + 1):
-        # out * (n - k + i) is divisible by i: the quotient is C(n - k + i, i).
-        out = out * (n - k + i) // i
-    return out
+    return math.comb(n, k)
 
 
 def binomial_row(n: int) -> Iterator[int]:

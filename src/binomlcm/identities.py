@@ -9,10 +9,12 @@ the independent oracles everything is checked against.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DomainError, InternalInvariantError
-from .exact import binomial_row, lcm_list, primes_upto, require_prime
+from .exact import binomial_row, primes_upto, require_prime
 from .padic import expand, first_non_max_digit, vp, vp_binomial_kummer
 
 __all__ = [
@@ -142,4 +144,4 @@ def lcm_binom_row_identity(k: int) -> dict[int, int]:
 
 def lcm_binom_row_direct(k: int) -> int:
     """Independent oracle: big-integer lcm fold over the literal row."""
-    return lcm_list(binomial_row(k))
+    return reduce(math.lcm, binomial_row(k))

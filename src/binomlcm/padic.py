@@ -140,6 +140,8 @@ def vp_factorial(n: int, p: int) -> int:
 def vp_binomial_legendre(n: int, k: int, p: int) -> int:
     """Valuation of C(n, k) from factorial valuations; independent of the
     borrow-counting path and used as its oracle."""
+    if n < 0 or k < 0:
+        raise DomainError(f"vp_binomial_legendre expects non-negative arguments, got n={n}, k={k}")
     if k > n:
         raise DomainError(f"vp_binomial_legendre expects k <= n, got n={n}, k={k}")
     return vp_factorial(n, p) - vp_factorial(k, p) - vp_factorial(n - k, p)

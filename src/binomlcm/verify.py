@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Union
 
 from .errors import DomainError, UnknownCheckError
-from .exact import binomial_row, factored_value, is_prime, lcm_list, primes_upto
+from .exact import binomial_row, factored_value, is_prime, primes_upto
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -131,7 +131,7 @@ def check_eq3(n: int) -> CheckReport:
     oracle, for every prime <= n and the first prime beyond n (expected 0)."""
     if n < 1:
         raise DomainError(f"check_eq3 expects n >= 1, got {n}")
-    fold = lcm_list(range(1, n + 1))
+    fold = math.lcm(*range(1, n + 1))
     formula = lcm_range_factored(n)
     direct = {p: vp(fold, p) for p in formula}
     mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct[p]}"

@@ -17,9 +17,8 @@ from binomlcm import (
     factored_decimal,
     factored_value,
     is_prime,
+    lcm_binom_row_direct,
     lcm_binom_row_identity,
-    lcm_list,
-    lcm_pair,
     lcm_range_factored,
     primes_upto,
     validate_factored,
@@ -64,41 +63,12 @@ def brute_lcm(values: list[int]) -> int:
     return candidate
 
 
-positive_small = st.integers(min_value=1, max_value=12)
-positives = st.integers(min_value=1, max_value=10**30)
-
-
 # -------------------------------------------------------------------- lcm
 
 
-def test_lcm_pair_examples():
-    assert lcm_pair(1, 9) == 9
-    assert lcm_pair(4, 6) == 12
-    with pytest.raises(ZeroOperandError):
-        lcm_pair(0, 3)
-    with pytest.raises(ZeroOperandError):
-        lcm_pair(3, 0)
-
-
-@given(positives, positives)
-def test_lcm_gcd_product_identity(a, b):
-    assert lcm_pair(a, b) * math.gcd(a, b) == a * b
-
-
-@given(st.lists(positive_small, max_size=4))
-def test_lcm_list_matches_multiple_scan(values):
-    assert lcm_list(values) == brute_lcm(values)
-
-
-def test_lcm_list_examples():
-    assert lcm_list([]) == 1
-    assert lcm_list([1, 2, 3, 4, 5, 6]) == 60
-    assert lcm_list([1, 5, 10, 10, 5, 1]) == 10
-
-
-def test_lcm_list_rejects_zero_element():
-    with pytest.raises(ZeroOperandError):
-        lcm_list([3, 0, 5])
+def test_lcm_list_matches_multiple_scan():
+    for k in range(21):
+        assert lcm_binom_row_direct(k) == brute_lcm(list(binomial_row(k))), k
 
 
 def test_huge_values_stay_exact():
@@ -106,7 +76,7 @@ def test_huge_values_stay_exact():
     x = 7**120000
     y = 3**120000
     assert math.gcd(x, y) == 1
-    combined = lcm_pair(x, y)
+    combined = math.lcm(x, y)
     assert combined == x * y
     assert combined // x == y and combined % y == 0
     assert combined > x > y

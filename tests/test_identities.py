@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,7 +12,6 @@ from binomlcm import (
     factored_value,
     lcm_binom_row_direct,
     lcm_binom_row_identity,
-    lcm_list,
     lcm_range_factored,
     primes_upto,
     row_max_vp,
@@ -102,7 +103,7 @@ def test_vp_lcm_range_exact_power_boundaries(p, e):
 
 def test_vp_lcm_range_matches_fold_oracle():
     for n in range(1, 201):
-        fold = lcm_list(range(1, n + 1))
+        fold = math.lcm(*range(1, n + 1))
         for p in primes_upto(n):
             assert vp_lcm_range(n, p) == vp(fold, p)
 
@@ -163,7 +164,7 @@ def test_lcm_range_factored_matches_fold_oracle():
     for n in range(1, 301):
         factors = lcm_range_factored(n)
         validate_factored(factors)
-        assert factored_value(factors) == lcm_list(range(1, n + 1))
+        assert factored_value(factors) == math.lcm(*range(1, n + 1))
 
 
 def test_lcm_range_factored_monotone():
@@ -192,6 +193,10 @@ def test_row_direct_examples():
     assert lcm_binom_row_direct(5) == 10
     assert lcm_binom_row_direct(6) == 60  # row 1,6,15,20,15,6,1 = lcm(1..7)/7
     assert lcm_binom_row_direct(7) == 105
+    with pytest.raises(DomainError):
+        lcm_binom_row_direct(-1)
+    with pytest.raises(DomainError):
+        lcm_binom_row_direct(-2)
 
 
 def test_row_identity_matches_direct_fold():

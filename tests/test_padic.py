@@ -5,6 +5,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from binomlcm import (
+    DomainError,
     NotPrimeError,
     OutOfRangeError,
     ZeroValueError,
@@ -164,6 +165,9 @@ def test_legendre_examples():
     assert vp_binomial_legendre(10, 4, 3) == 1
     with pytest.raises(OutOfRangeError):
         vp_binomial_legendre(2, 4, 3)
+    for n, k in [(3, -1), (-1, 0), (4, -2)]:
+        with pytest.raises(DomainError, match="vp_binomial_legendre"):
+            vp_binomial_legendre(n, k, 2)
 
 
 # ------------------------------------------------- the three routes agree
