@@ -15,7 +15,7 @@ from functools import reduce
 
 from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, primes_upto, require_prime
-from .padic import expand, first_non_max_digit, vp, vp_binomial_kummer
+from .padic import _kummer_borrows, expand, first_non_max_digit, vp
 
 __all__ = [
     "RowMaxResult",
@@ -68,10 +68,15 @@ def row_max_vp(k: int, p: int) -> RowMaxResult:
 
 
 def row_max_vp_bruteforce(k: int, p: int) -> int:
-    """Independent oracle: scan the whole row, taking the largest borrow count."""
+    """Independent oracle: scan the row, taking the largest borrow count.
+
+    (k, p) is checked once, then the unchecked borrow kernel runs per entry.
+    C(k, i) = C(k, k - i), so the half row i <= k // 2 holds every value.
+    """
+    require_prime(p)
     if k < 0:
         raise DomainError(f"row_max_vp_bruteforce expects k >= 0, got {k}")
-    return max(vp_binomial_kummer(k, index, p) for index in range(k + 1))
+    return max(_kummer_borrows(k, index, p) for index in range(k // 2 + 1))
 
 
 def vp_lcm_range(n: int, p: int) -> int:

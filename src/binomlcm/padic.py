@@ -5,6 +5,10 @@ by counting borrows in the schoolbook base-p subtraction (with carry
 counting in the addition as the dual view), and through factorial
 valuations built from floor divisions. The two must always agree, which
 the test suite leans on heavily.
+
+The borrow loop is the private kernel `_kummer_borrows`, which trusts its
+arguments. `vp_binomial_kummer` checks p and the domain and then calls it;
+the brute-force row scan checks (k, p) once and calls it for each entry.
 """
 
 from __future__ import annotations
@@ -92,13 +96,18 @@ def vp_binomial_kummer(n: int, k: int, p: int) -> int:
         raise DomainError(f"vp_binomial_kummer expects non-negative arguments, got n={n}, k={k}")
     if k > n:
         raise DomainError(f"vp_binomial_kummer expects k <= n, got n={n}, k={k}")
+    return _kummer_borrows(n, k, p)
+
+
+def _kummer_borrows(n: int, k: int, p: int) -> int:
+    """Borrow count of the base-p subtraction n - k, with no checks: the
+    caller has proved p prime and 0 <= k <= n."""
     borrows = 0
     borrow = 0
-    a, b = n, k
-    while b or borrow:
-        a, ad = divmod(a, p)
-        b, bd = divmod(b, p)
-        if ad < bd + borrow:
+    while k or borrow:
+        n, nd = divmod(n, p)
+        k, kd = divmod(k, p)
+        if nd < kd + borrow:
             borrow = 1
             borrows += 1
         else:

@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Union
 
 from .errors import DomainError, UnknownCheckError
-from .exact import binomial_row, factored_value, is_prime, primes_upto
+from .exact import binomial, factored_value, is_prime, primes_upto
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -192,11 +192,12 @@ def check_lower_bound(n: int) -> CheckReport:
 
 def check_proof_chain(n: int) -> CheckReport:
     """The three exact links from the row at n-1 up to the power-of-two floor:
-    lcm(1..n) = n * row lcm, n * row max >= 2**(n-1), lcm(1..n) >= n * row max."""
+    lcm(1..n) = n * row lcm, n * row max >= 2**(n-1), lcm(1..n) >= n * row max.
+    The row is unimodal, so its max is the central entry C(n-1, (n-1) // 2)."""
     if n < 1:
         raise DomainError(f"check_proof_chain expects n >= 1, got {n}")
     row_lcm = lcm_binom_row_direct(n - 1)
-    row_max = max(binomial_row(n - 1))
+    row_max = binomial(n - 1, (n - 1) // 2)
     range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     broken = []

@@ -113,6 +113,11 @@ def test_binomial_row_matches_binomial():
         assert list(binomial_row(n)) == [binomial(n, k) for k in range(n + 1)]
 
 
+def test_row_max_is_the_central_entry_up_to_500():
+    for k in range(501):
+        assert max(binomial_row(k)) == binomial(k, k // 2)
+
+
 def test_pascal_rule_up_to_500():
     prev = [1]
     for n in range(1, 501):

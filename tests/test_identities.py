@@ -19,6 +19,7 @@ from binomlcm import (
     validate_factored,
     vp,
     vp_binomial_kummer,
+    vp_binomial_legendre,
     vp_lcm_range,
     vp_row_lcm_formula,
     vp_successor_formula,
@@ -62,6 +63,19 @@ def test_prime_check_left_to_the_callee_still_rejects_bad_input(function, bad_k)
         function(5, 4)
     with pytest.raises(DomainError):
         function(bad_k, 2)
+
+
+def test_row_max_bruteforce_checks_the_prime_before_scanning():
+    # At k = 0 the row has one entry; the up-front check is the only one run.
+    with pytest.raises(NotPrimeError):
+        row_max_vp_bruteforce(0, 4)
+
+
+def test_half_row_scan_matches_full_row_factorial_route():
+    for k in range(201):
+        for p in PRIMES_50:
+            full_row = max(vp_binomial_legendre(k, i, p) for i in range(k + 1))
+            assert row_max_vp_bruteforce(k, p) == full_row, (k, p)
 
 
 def test_row_max_rejects_bad_input():
