@@ -7,7 +7,7 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from functools import lru_cache
-from itertools import islice
+from itertools import compress, islice
 from typing import Any, Callable, Iterator, Mapping
 
 from .errors import DomainError, NotPrimeError
@@ -60,7 +60,7 @@ def primes_upto(n: int) -> list[int]:
         if sieve[p]:
             start = p * p
             sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return [i for i, flag in enumerate(sieve) if flag]
+    return list(compress(range(n + 1), sieve))
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

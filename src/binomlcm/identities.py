@@ -12,10 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import reduce
+from itertools import accumulate
+from operator import sub
 
 from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, primes_upto, require_prime
-from .padic import _kummer_borrows, expand, first_non_max_digit, vp
+from .padic import expand, first_non_max_digit, vp
 
 __all__ = [
     "RowMaxResult",
@@ -67,16 +69,47 @@ def row_max_vp(k: int, p: int) -> RowMaxResult:
     return RowMaxResult(k=k, p=p, max_valuation=max_valuation, attained_at=p**top - 1)
 
 
-def row_max_vp_bruteforce(k: int, p: int) -> int:
-    """Independent oracle: scan the row, taking the largest borrow count.
+# Row indices the brute-force scan walks per block; bounds its memory at any k.
+_SCAN_BLOCK = 4096
 
-    (k, p) is checked once, then the unchecked borrow kernel runs per entry.
-    C(k, i) = C(k, k - i), so the half row i <= k // 2 holds every value.
+
+def _block_valuations(lo: int, hi: int, p: int) -> list[int]:
+    """v_p(n) for each n in lo..hi (1 <= lo <= hi), ascending. The multiples
+    of p, p**2, ... inside the block are marked in turn, each power
+    overwriting the exponent the one below it wrote."""
+    valuations = [0] * (hi - lo + 1)
+    power, exponent = p, 1
+    while power <= hi:
+        first = -lo % power
+        valuations[first::power] = [exponent] * len(range(first, len(valuations), power))
+        power *= p
+        exponent += 1
+    return valuations
+
+
+def row_max_vp_bruteforce(k: int, p: int) -> int:
+    """Independent oracle: walk the row entry by entry, keeping the largest
+    valuation.
+
+    C(k, i+1) = C(k, i) * (k-i) / (i+1), so v_p(C(k, i+1)) is v_p(C(k, i))
+    plus v_p(k-i) minus v_p(i+1). C(k, i) = C(k, k - i), so the half row
+    i <= k // 2 holds every value. The walk runs _SCAN_BLOCK indices at a
+    time, carrying the running valuation across blocks, and never reads a
+    base-p digit of k.
     """
     require_prime(p)
     if k < 0:
         raise DomainError(f"row_max_vp_bruteforce expects k >= 0, got {k}")
-    return max(_kummer_borrows(k, index, p) for index in range(k // 2 + 1))
+    best = carry = 0
+    half = k // 2
+    for start in range(0, half, _SCAN_BLOCK):
+        end = min(start + _SCAN_BLOCK, half)  # steps i -> i + 1 for start <= i < end
+        numerators = reversed(_block_valuations(k - end + 1, k - start, p))
+        denominators = _block_valuations(start + 1, end, p)
+        running = list(accumulate(map(sub, numerators, denominators), initial=carry))
+        best = max(best, max(running))
+        carry = running[-1]
+    return best
 
 
 def vp_lcm_range(n: int, p: int) -> int:

@@ -5,10 +5,6 @@ by counting borrows in the schoolbook base-p subtraction (with carry
 counting in the addition as the dual view), and through factorial
 valuations built from floor divisions. The two must always agree, which
 the test suite leans on heavily.
-
-The borrow loop is the private kernel `_kummer_borrows`, which trusts its
-arguments. `vp_binomial_kummer` checks p and the domain and then calls it;
-the brute-force row scan checks (k, p) once and calls it for each entry.
 """
 
 from __future__ import annotations
@@ -96,12 +92,6 @@ def vp_binomial_kummer(n: int, k: int, p: int) -> int:
         raise DomainError(f"vp_binomial_kummer expects non-negative arguments, got n={n}, k={k}")
     if k > n:
         raise DomainError(f"vp_binomial_kummer expects k <= n, got n={n}, k={k}")
-    return _kummer_borrows(n, k, p)
-
-
-def _kummer_borrows(n: int, k: int, p: int) -> int:
-    """Borrow count of the base-p subtraction n - k, with no checks: the
-    caller has proved p prime and 0 <= k <= n."""
     borrows = 0
     borrow = 0
     while k or borrow:

@@ -82,6 +82,15 @@ def test_row_max_with_oracle(capsys):
     assert record["ok"] is True
 
 
+@pytest.mark.parametrize("p", ["2", "47"])
+def test_row_max_oracle_over_many_blocks(capsys, p):
+    code, out, _ = run_cli(capsys, "row-max", "999999", p, "--oracle", "--json")
+    assert code == 0
+    (record,) = parse_records(out)
+    assert record["output"]["oracle"] == record["output"]["max_valuation"]
+    assert record["ok"] is True
+
+
 def test_lcm_range_outputs(capsys):
     code, out, _ = run_cli(capsys, "lcm-range", "10", "--value", "--json")
     assert code == 0

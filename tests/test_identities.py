@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given
@@ -24,6 +25,7 @@ from binomlcm import (
     vp_row_lcm_formula,
     vp_successor_formula,
 )
+from binomlcm.identities import _SCAN_BLOCK
 
 PRIMES_50 = primes_upto(50)
 
@@ -76,6 +78,56 @@ def test_half_row_scan_matches_full_row_factorial_route():
         for p in PRIMES_50:
             full_row = max(vp_binomial_legendre(k, i, p) for i in range(k + 1))
             assert row_max_vp_bruteforce(k, p) == full_row, (k, p)
+
+
+def kummer_half_row_max(k, p):
+    """The scan the row walk replaced: one borrow count per half-row entry."""
+    return max(vp_binomial_kummer(k, i, p) for i in range(k // 2 + 1))
+
+
+def test_row_walk_matches_full_row_kummer_route():
+    for k in range(301):
+        for p in PRIMES_50:
+            full_row = max(vp_binomial_kummer(k, i, p) for i in range(k + 1))
+            assert row_max_vp_bruteforce(k, p) == full_row, (k, p)
+
+
+def _block_edge_rows():
+    # 3 blocks: at p = 3 the maximum then lies only where the running
+    # valuation was carried across block edges from a positive value.
+    halves = (_SCAN_BLOCK - 1, _SCAN_BLOCK, _SCAN_BLOCK + 1, 2 * _SCAN_BLOCK, 3 * _SCAN_BLOCK)
+    for p in (2, 3, 47):
+        for half in halves:
+            yield 2 * half, p
+            yield 2 * half + 1, p
+        power = p
+        while power <= 4 * _SCAN_BLOCK + 1:
+            yield power - 1, p
+            yield power, p
+            power *= p
+
+
+@pytest.mark.parametrize("k,p", sorted(set(_block_edge_rows())))
+def test_row_walk_at_block_edges_and_prime_powers(k, p):
+    assert row_max_vp_bruteforce(k, p) == kummer_half_row_max(k, p)
+
+
+@given(st.integers(min_value=0, max_value=20000), st.sampled_from(PRIMES_50))
+def test_row_walk_matches_kummer_scan_property(k, p):
+    assert row_max_vp_bruteforce(k, p) == kummer_half_row_max(k, p)
+
+
+def test_row_walk_memory_does_not_grow_with_k():
+    # The walk holds a few lists of _SCAN_BLOCK entries (about 0.17 MB here);
+    # a list of the whole half row at this k would alone take 0.8 MB.
+    row_max_vp_bruteforce(10, 2)  # fills the primality cache outside the traced region
+    tracemalloc.start()
+    try:
+        assert row_max_vp_bruteforce(200_000, 2) == row_max_vp(200_000, 2).max_valuation
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 1024, peak
 
 
 def test_row_max_rejects_bad_input():
