@@ -38,10 +38,8 @@ from .identities import (
     vp_successor_formula,
 )
 from .padic import (
-    BaseExpansion,
     carries_when_adding,
     expand,
-    first_non_max_digit,
     vp,
     vp_binomial_kummer,
     vp_binomial_legendre,

@@ -48,14 +48,16 @@ def _emit(args: argparse.Namespace, op: str, inputs: dict[str, Any], output: Any
             print(line)
 
 
+# Factor maps come from the ascending sieve and only ever lose keys, so
+# their items are already in ascending prime order.
 def _factor_pairs(factors: dict[int, int]) -> list[list[int]]:
-    return [[p, e] for p, e in sorted(factors.items())]
+    return [[p, e] for p, e in factors.items()]
 
 
 def _format_factored(factors: dict[int, int]) -> str:
     if not factors:
         return "1"
-    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in sorted(factors.items()))
+    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors.items())
 
 
 def _factored_result(args: argparse.Namespace, label: str,
@@ -92,8 +94,7 @@ def _cmd_vp_binom(args: argparse.Namespace) -> int:
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
-    expansion = expand(args.k, args.p)
-    digits = list(expansion.digits)
+    digits = list(expand(args.k, args.p))
     human = [f"{args.k} in base {args.p}: {digits} (least significant first)"]
     _emit(args, "digits", {"k": args.k, "p": args.p}, digits, True, human)
     return 0
@@ -175,7 +176,6 @@ def _cmd_psi_ratio(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine mode: one JSON record per result line")
-    common.add_argument("--quiet", action="store_true", help="summary only; suppress per-item detail")
 
     parser = argparse.ArgumentParser(
         prog="binomlcm",
@@ -222,6 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from", dest="lo", type=int, required=True)
     p.add_argument("--to", dest="hi", type=int, required=True)
     p.add_argument("--jobs", type=int, default=None, help="worker count (default: available parallelism)")
+    p.add_argument("--quiet", action="store_true", help="summary only; suppress per-item detail")
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("psi-ratio", parents=[common], help="log lcm(1..n) / n from the factored form")

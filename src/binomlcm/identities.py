@@ -17,7 +17,7 @@ from operator import sub
 
 from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, primes_upto, require_prime
-from .padic import expand, first_non_max_digit, vp
+from .padic import expand, vp
 
 __all__ = [
     "RowMaxResult",
@@ -34,23 +34,21 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RowMaxResult:
-    """Maximum p-adic valuation over one binomial row.
+    """Maximum p-adic valuation over one binomial row, and an index
+    realizing it: p**N - 1 for the top digit index N of k, or None for the
+    single-entry row k = 0."""
 
-    attained_at is an index realizing the maximum (p**N - 1 for the top
-    digit index N of k); it is None only for the single-entry row k = 0.
-    """
-
-    k: int
-    p: int
     max_valuation: int
     attained_at: int | None
 
 
 def _digit_span(k: int, p: int) -> tuple[int, int | None]:
-    """Top digit index of k >= 1 in base p, and the lowest digit index whose
-    digit is not p-1 (None when every digit is p-1)."""
-    expansion = expand(k, p)
-    return len(expansion.digits) - 1, first_non_max_digit(expansion)
+    """Top digit index of k in base p, and the lowest digit index whose
+    digit is not p-1 (None when every digit is p-1, i.e. when k+1 is a
+    power of p). Every caller has already rejected k < 1."""
+    digits = expand(k, p)
+    lowest_open = next((i for i, digit in enumerate(digits) if digit != p - 1), None)
+    return len(digits) - 1, lowest_open
 
 
 def row_max_vp(k: int, p: int) -> RowMaxResult:
@@ -63,10 +61,10 @@ def row_max_vp(k: int, p: int) -> RowMaxResult:
     if k < 0:
         raise DomainError(f"row_max_vp expects k >= 0, got {k}")
     if k == 0:
-        return RowMaxResult(k=0, p=p, max_valuation=0, attained_at=None)
+        return RowMaxResult(max_valuation=0, attained_at=None)
     top, lowest_open = _digit_span(k, p)
     max_valuation = 0 if lowest_open is None else top - lowest_open
-    return RowMaxResult(k=k, p=p, max_valuation=max_valuation, attained_at=p**top - 1)
+    return RowMaxResult(max_valuation=max_valuation, attained_at=p**top - 1)
 
 
 # Row indices the brute-force scan walks per block; bounds its memory at any k.

@@ -1,5 +1,7 @@
-"""Base-p digit expansions and p-adic valuations.
+"""Base-p digits and p-adic valuations.
 
+expand gives the base-p digits of k as a plain tuple, least significant
+first; the digit formulas in identities read positions straight off it.
 The valuation of a binomial coefficient is computed two independent ways:
 by counting borrows in the schoolbook base-p subtraction (with carry
 counting in the addition as the dual view), and through factorial
@@ -9,15 +11,11 @@ the test suite leans on heavily.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import DomainError
 from .exact import require_prime
 
 __all__ = [
-    "BaseExpansion",
     "expand",
-    "first_non_max_digit",
     "vp",
     "vp_binomial_kummer",
     "carries_when_adding",
@@ -26,44 +24,17 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BaseExpansion:
-    """Digits of value in the given prime base, least significant first.
-
-    The top digit is nonzero; value 0 is represented by an empty tuple.
-    """
-
-    value: int
-    base: int
-    digits: tuple[int, ...]
-
-
-def expand(k: int, p: int) -> BaseExpansion:
-    """Base-p expansion of k; k == 0 yields an empty digit tuple."""
+def expand(k: int, p: int) -> tuple[int, ...]:
+    """Base-p digits of k, least significant first. The top digit is
+    nonzero, and k == 0 yields the empty tuple."""
     require_prime(p)
     if k < 0:
         raise DomainError(f"expand expects k >= 0, got {k}")
     digits = []
-    n = k
-    while n:
-        n, d = divmod(n, p)
+    while k:
+        k, d = divmod(k, p)
         digits.append(d)
-    return BaseExpansion(value=k, base=p, digits=tuple(digits))
-
-
-def first_non_max_digit(expansion: BaseExpansion) -> int | None:
-    """Lowest digit index whose digit is not base-1.
-
-    Returns None exactly when every digit is base-1, i.e. when the value is
-    one less than a power of the base.
-    """
-    if expansion.value < 1:
-        raise DomainError("first_non_max_digit expects a positive value")
-    top = expansion.base - 1
-    for i, digit in enumerate(expansion.digits):
-        if digit != top:
-            return i
-    return None
+    return tuple(digits)
 
 
 def vp(n: int, p: int) -> int:

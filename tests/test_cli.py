@@ -63,6 +63,9 @@ def test_vp_binom_rejects_k_above_n(capsys):
 
 
 def test_digits(capsys):
+    code, out, _ = run_cli(capsys, "digits", "5", "2")
+    assert code == 0 and out == "5 in base 2: [1, 0, 1] (least significant first)\n"
+
     code, out, _ = run_cli(capsys, "digits", "5", "2", "--json")
     (record,) = parse_records(out)
     assert code == 0 and record["output"] == [1, 0, 1]
@@ -103,6 +106,23 @@ def test_lcm_range_outputs(capsys):
 
     code, _, err = run_cli(capsys, "lcm-range", "0")
     assert code == 2 and "n >= 1" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lcm-binom-row", "0"],
+    ["lcm-binom-row", "1"],
+    ["lcm-binom-row", "10"],
+    ["lcm-binom-row", "720719"],
+    ["lcm-range", "1"],
+    ["lcm-range", "10"],
+    ["lcm-range", "1000"],
+])
+def test_json_factor_primes_strictly_ascending(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    (record,) = parse_records(out)
+    primes = [p for p, _ in record["output"]["factors"]]
+    assert all(a < b for a, b in zip(primes, primes[1:]))
 
 
 def test_lcm_binom_row_methods(capsys):
@@ -162,6 +182,22 @@ def test_verify_failure_exit_and_listing(capsys, monkeypatch):
         assert record["output"]["first_failure"] == "3"
         assert record["output"]["first_witness"] == "forced mismatch at 3"
         assert record["output"]["failing"] == ["3", "4", "5", "6"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["vp", "12", "2"],
+    ["vp-binom", "5", "2", "2"],
+    ["digits", "5", "2"],
+    ["row-max", "5", "2"],
+    ["lcm-range", "10"],
+    ["lcm-binom-row", "5"],
+    ["psi-ratio", "10"],
+])
+def test_quiet_is_a_verify_option_only(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main([*argv, "--quiet"])
+    assert exit_info.value.code == 2
+    assert "--quiet" in capsys.readouterr().err
 
 
 def test_former_domain_error_names_are_domain_error_and_exit_2(capsys, monkeypatch):

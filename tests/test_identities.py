@@ -25,9 +25,41 @@ from binomlcm import (
     vp_row_lcm_formula,
     vp_successor_formula,
 )
-from binomlcm.identities import _SCAN_BLOCK
+from binomlcm.identities import _SCAN_BLOCK, _digit_span
 
 PRIMES_50 = primes_upto(50)
+
+
+def is_power_of(n: int, p: int) -> bool:
+    while n % p == 0:
+        n //= p
+    return n == 1
+
+
+# -------------------------------------------------------------- digit span
+
+
+def test_digit_span_examples():
+    assert _digit_span(7, 2) == (2, None)
+    assert _digit_span(5, 2) == (2, 1)
+    assert _digit_span(4, 2) == (2, 0)
+    assert _digit_span(1, 2) == (0, None)
+    assert _digit_span(25, 3) == (2, 0)
+    assert _digit_span(26, 3) == (2, None)
+
+
+def test_digit_span_open_digit_absent_iff_successor_is_base_power():
+    for p in primes_upto(20):
+        for k in range(1, 2000):
+            top, lowest_open = _digit_span(k, p)
+            assert p**top <= k < p ** (top + 1)
+            assert (lowest_open is None) == is_power_of(k + 1, p)
+
+
+@given(st.integers(min_value=1, max_value=10**9), st.sampled_from(primes_upto(100)))
+def test_digit_span_open_digit_absent_iff_successor_is_base_power_random(k, p):
+    _, lowest_open = _digit_span(k, p)
+    assert (lowest_open is None) == is_power_of(k + 1, p)
 
 
 # ------------------------------------------------------------- row maximum
