@@ -11,10 +11,7 @@ from .errors import (
     DomainError,
     InternalInvariantError,
     NotPrimeError,
-    OutOfRangeError,
     UnknownCheckError,
-    ZeroOperandError,
-    ZeroValueError,
 )
 from .exact import (
     binomial,
@@ -38,7 +35,6 @@ from .identities import (
     vp_successor_formula,
 )
 from .padic import (
-    carries_when_adding,
     expand,
     vp,
     vp_binomial_kummer,

@@ -140,8 +140,11 @@ def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    workers = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
-    summary, failing = verify_range_detailed(args.check, args.lo, args.hi, workers)
+    workers = args.jobs
+    if workers is None:  # the CPUs this process may run on, not every CPU
+        workers = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    summary = verify_range_detailed(args.check, args.lo, args.hi, workers)
+    failing = summary.failing
     output = {
         "check": summary.check_name,
         "from": str(summary.lo),

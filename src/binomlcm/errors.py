@@ -6,10 +6,6 @@ class DomainError(ValueError):
     lcm operand, an empty range, a sieve bound above the ceiling)."""
 
 
-# Former names of DomainError, kept so existing callers keep working.
-ZeroOperandError = OutOfRangeError = ZeroValueError = DomainError
-
-
 class NotPrimeError(ValueError):
     """A number that must be prime failed the primality check."""
 

@@ -3,10 +3,10 @@
 expand gives the base-p digits of k as a plain tuple, least significant
 first; the digit formulas in identities read positions straight off it.
 The valuation of a binomial coefficient is computed two independent ways:
-by counting borrows in the schoolbook base-p subtraction (with carry
-counting in the addition as the dual view), and through factorial
-valuations built from floor divisions. The two must always agree, which
-the test suite leans on heavily.
+by counting borrows in the schoolbook base-p subtraction, and through
+factorial valuations built from floor divisions. The two must always
+agree, which the test suite leans on heavily; it also counts the carries
+of the addition k + (n - k) as a third route.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ __all__ = [
     "expand",
     "vp",
     "vp_binomial_kummer",
-    "carries_when_adding",
     "vp_factorial",
     "vp_binomial_legendre",
 ]
@@ -74,24 +73,6 @@ def vp_binomial_kummer(n: int, k: int, p: int) -> int:
         else:
             borrow = 0
     return borrows
-
-
-def carries_when_adding(a: int, b: int, p: int) -> int:
-    """Carry count of the schoolbook base-p addition a + b."""
-    require_prime(p)
-    if a < 0 or b < 0:
-        raise DomainError(f"carries_when_adding expects non-negative arguments, got {a} and {b}")
-    carries = 0
-    carry = 0
-    while a or b or carry:
-        a, ad = divmod(a, p)
-        b, bd = divmod(b, p)
-        if ad + bd + carry >= p:
-            carry = 1
-            carries += 1
-        else:
-            carry = 0
-    return carries
 
 
 def vp_factorial(n: int, p: int) -> int:

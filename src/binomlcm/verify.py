@@ -1,13 +1,13 @@
 """Verification harness: every check recomputes one identity or bound along
-two independent routes and reports exact agreement. Failures are data, not
-exceptions; sweeps finish the whole range and aggregate deterministically
-regardless of worker count."""
+two independent routes and reports both sides plus, on disagreement, a
+witness. Failures are data, not exceptions; a sweep finishes the whole
+range and returns one RangeSummary of its failing inputs and the first
+witness, identical for every worker count."""
 
 from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Union
@@ -55,35 +55,41 @@ Side = Union[int, dict[int, int]]
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Outcome of one check at one input: both sides, verdict, and on
-    failure a witness naming the first divergence."""
+    """Outcome of one check at one input: both sides, and on failure a
+    witness naming the first divergence."""
 
-    check_name: str
-    input: int
     lhs: Side
     rhs: Side
-    passed: bool
-    witness: str | None = None
+    witness: str | None
+
+    @property
+    def passed(self) -> bool:
+        return self.witness is None
 
 
 @dataclass(frozen=True)
 class RangeSummary:
-    """Aggregate of a sweep over [lo, hi]; first_failure is the smallest
-    failing input and first_witness its report's witness, both independent
-    of execution order."""
+    """A sweep over [lo, hi]: its failing inputs, ascending, and the witness
+    of the first of them, both independent of execution order."""
 
     check_name: str
     lo: int
     hi: int
-    total: int
-    failures: int
-    first_failure: int | None
+    failing: tuple[int, ...]
     first_witness: str | None
     elapsed: float
 
+    @property
+    def total(self) -> int:
+        return self.hi - self.lo + 1
 
-def _report(name: str, value: int, lhs: Side, rhs: Side, witness: str | None) -> CheckReport:
-    return CheckReport(name, value, lhs, rhs, witness is None, witness)
+    @property
+    def failures(self) -> int:
+        return len(self.failing)
+
+    @property
+    def first_failure(self) -> int | None:
+        return self.failing[0] if self.failing else None
 
 
 def check_theorem1(k: int) -> CheckReport:
@@ -93,7 +99,7 @@ def check_theorem1(k: int) -> CheckReport:
     witness = None
     if identity != direct:
         witness = f"k={k}: identity path {identity} != direct fold {direct}"
-    return _report("theorem1", k, identity, direct, witness)
+    return CheckReport(identity, direct, witness)
 
 
 def check_prop1(k: int) -> CheckReport:
@@ -116,7 +122,7 @@ def check_prop1(k: int) -> CheckReport:
                     f"p={p}: valuation {at_witness} at witness index "
                     f"{result.attained_at} != row maximum {scanned}"
                 )
-    return _report("prop1", k, formula, brute, witness)
+    return CheckReport(formula, brute, witness)
 
 
 def _next_prime_above(n: int) -> int:
@@ -142,7 +148,7 @@ def check_eq3(n: int) -> CheckReport:
     direct[beyond] = vp(fold, beyond)
     if witness is None and direct[beyond] != 0:
         witness = f"p={beyond} exceeds n yet divides the fold lcm (valuation {direct[beyond]})"
-    return _report("eq3", n, formula, direct, witness)
+    return CheckReport(formula, direct, witness)
 
 
 def check_eq4(k: int) -> CheckReport:
@@ -157,7 +163,7 @@ def check_eq4(k: int) -> CheckReport:
         direct[p] = vp(k + 1, p)
         if witness is None and formula[p] != direct[p]:
             witness = f"p={p}: rollover formula {formula[p]} != v_p(k+1) {direct[p]}"
-    return _report("eq4", k, formula, direct, witness)
+    return CheckReport(formula, direct, witness)
 
 
 def check_eq5(k: int) -> CheckReport:
@@ -175,7 +181,7 @@ def check_eq5(k: int) -> CheckReport:
                 f"p={p}: row-lcm formula {formula[p]} != range/successor difference "
                 f"{difference[p]}"
             )
-    return _report("eq5", k, formula, difference, witness)
+    return CheckReport(formula, difference, witness)
 
 
 def check_lower_bound(n: int) -> CheckReport:
@@ -187,7 +193,7 @@ def check_lower_bound(n: int) -> CheckReport:
     witness = None
     if range_lcm < floor:
         witness = f"n={n}: lcm(1..n) = {range_lcm} < 2^(n-1) = {floor}"
-    return _report("lower-bound", n, range_lcm, floor, witness)
+    return CheckReport(range_lcm, floor, witness)
 
 
 def check_proof_chain(n: int) -> CheckReport:
@@ -208,7 +214,7 @@ def check_proof_chain(n: int) -> CheckReport:
     if range_lcm < n * row_max:
         broken.append(f"lcm(1..n) = {range_lcm} < n * row max = {n * row_max}")
     witness = "; ".join(broken) if broken else None
-    return _report("proof-chain", n, range_lcm, floor, witness)
+    return CheckReport(range_lcm, floor, witness)
 
 
 def check_hanson(n: int) -> CheckReport:
@@ -220,7 +226,7 @@ def check_hanson(n: int) -> CheckReport:
     witness = None
     if range_lcm > ceiling:
         witness = f"n={n}: lcm(1..n) = {range_lcm} > 3^n = {ceiling}"
-    return _report("hanson", n, range_lcm, ceiling, witness)
+    return CheckReport(range_lcm, ceiling, witness)
 
 
 def psi_ratio(n: int) -> float:
@@ -244,28 +250,20 @@ CHECKS = {
 }
 
 
-def _failing_in(check: str, lo: int, hi: int) -> tuple[list[int], str | None]:
-    """Failing inputs of one named check over [lo, hi], ascending, and the
-    witness of the first of them."""
+def _failing_in(check: str, lo: int, hi: int) -> list[tuple[int, str]]:
+    """(input, witness) for each failing input of one named check over
+    [lo, hi], ascending."""
     run = CHECKS[check]
-    failing: list[int] = []
-    witness = None
-    for value in range(lo, hi + 1):
-        report = run(value)
-        if not report.passed:
-            witness = witness if failing else report.witness
-            failing.append(value)
-    return failing, witness
+    reports = ((value, run(value)) for value in range(lo, hi + 1))
+    return [(value, report.witness) for value, report in reports if not report.passed]
 
 
-def verify_range_detailed(
-    check: str, lo: int, hi: int, workers: int = 1
-) -> tuple[RangeSummary, list[int]]:
-    """Run one named check on every input in [lo, hi], also returning the
-    sorted failing inputs.
+def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> RangeSummary:
+    """Run one named check on every input in [lo, hi] and summarize it.
 
-    Workers get contiguous ascending chunks, merged in chunk order, so the
-    summary never depends on worker count or scheduling.
+    Workers get contiguous ascending chunks, concatenated in chunk order, so
+    the summary never depends on worker count or scheduling. The process
+    pool is imported only when one starts.
     """
     if check not in CHECKS:
         raise UnknownCheckError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
@@ -279,21 +277,19 @@ def verify_range_detailed(
     if workers == 1:
         chunks = [_failing_in(check, lo, hi)]
     else:
+        from concurrent.futures import ProcessPoolExecutor
+
         size = max(1, total // (workers * 8))
         starts = range(lo, hi + 1, size)
         ends = (min(start + size - 1, hi) for start in starts)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_failing_in, repeat(check), starts, ends))
-    failing = [value for chunk_failing, _ in chunks for value in chunk_failing]
-    elapsed = time.perf_counter() - started
-    summary = RangeSummary(
+    failed = [pair for chunk in chunks for pair in chunk]
+    return RangeSummary(
         check_name=check,
         lo=lo,
         hi=hi,
-        total=total,
-        failures=len(failing),
-        first_failure=failing[0] if failing else None,
-        first_witness=next((witness for chunk_failing, witness in chunks if chunk_failing), None),
-        elapsed=elapsed,
+        failing=tuple(value for value, _ in failed),
+        first_witness=failed[0][1] if failed else None,
+        elapsed=time.perf_counter() - started,
     )
-    return summary, failing

@@ -48,7 +48,7 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
 
 
 def test_criterion_1_theorem_sweep_exact():
-    summary = verify_range_detailed("theorem1", 0, 2000, workers=1)[0]
+    summary = verify_range_detailed("theorem1", 0, 2000, workers=1)
     _report(
         "criterion 1: row-lcm identity = direct fold, bit-exact, 0 <= k <= 2000",
         summary.failures == 0,
@@ -57,7 +57,7 @@ def test_criterion_1_theorem_sweep_exact():
 
 
 def test_criterion_2_row_max_sweep():
-    summary = verify_range_detailed("prop1", 1, 1500, workers=WORKERS)[0]
+    summary = verify_range_detailed("prop1", 1, 1500, workers=WORKERS)
     _report(
         "criterion 2: row-max formula = brute force and attained at witness, "
         "k <= 1500, p <= 50",
@@ -94,9 +94,9 @@ def test_criterion_3_valuation_triple_agreement():
 
 
 def test_criterion_4_formula_checks():
-    range_exp = verify_range_detailed("eq3", 1, 1000, workers=WORKERS)[0]
-    successor = verify_range_detailed("eq4", 1, 100_000, workers=WORKERS)[0]
-    row_lcm_exp = verify_range_detailed("eq5", 1, 1500, workers=WORKERS)[0]
+    range_exp = verify_range_detailed("eq3", 1, 1000, workers=WORKERS)
+    successor = verify_range_detailed("eq4", 1, 100_000, workers=WORKERS)
+    row_lcm_exp = verify_range_detailed("eq5", 1, 1500, workers=WORKERS)
     ok = range_exp.failures == successor.failures == row_lcm_exp.failures == 0
     _report(
         "criterion 4: range-exponent, successor, and row-lcm-exponent formulas "
@@ -108,8 +108,8 @@ def test_criterion_4_formula_checks():
 
 
 def test_criterion_5_lower_bound_and_proof_chain():
-    bound = verify_range_detailed("lower-bound", 1, 5000, workers=WORKERS)[0]
-    chain = verify_range_detailed("proof-chain", 1, 1000, workers=WORKERS)[0]
+    bound = verify_range_detailed("lower-bound", 1, 5000, workers=WORKERS)
+    chain = verify_range_detailed("proof-chain", 1, 1000, workers=WORKERS)
     _report(
         "criterion 5: lcm(1..n) >= 2^(n-1) for n <= 5000, full proof chain for n <= 1000",
         bound.failures == 0 and chain.failures == 0,
@@ -118,7 +118,7 @@ def test_criterion_5_lower_bound_and_proof_chain():
 
 
 def test_criterion_6_hanson_bound_and_psi_ratio():
-    ceiling = verify_range_detailed("hanson", 1, 5000, workers=WORKERS)[0]
+    ceiling = verify_range_detailed("hanson", 1, 5000, workers=WORKERS)
     ratio = psi_ratio(100_000)
     ok = ceiling.failures == 0 and abs(ratio - 1.0) < 0.05
     _report(
@@ -186,7 +186,7 @@ def test_criterion_7_fast_path_performance_cold():
 
 
 def test_criterion_8_worker_determinism():
-    summaries = [verify_range_detailed("theorem1", 0, 2000, workers=w)[0] for w in (1, 4, 8)]
+    summaries = [verify_range_detailed("theorem1", 0, 2000, workers=w) for w in (1, 4, 8)]
     normalized = {dataclasses.replace(s, elapsed=0.0) for s in summaries}
     ok = len(normalized) == 1 and summaries[0].failures == 0
     _report(

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import binomlcm
 import binomlcm.cli as cli
 import binomlcm.verify as verify
-from binomlcm import DomainError, OutOfRangeError, ZeroOperandError, ZeroValueError
+from binomlcm import DomainError
 from binomlcm.cli import main
 from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
@@ -156,7 +161,7 @@ def test_verify_sweep_passes(capsys):
 
 def test_verify_failure_exit_and_listing(capsys, monkeypatch):
     def always_fail(value):
-        return CheckReport("theorem1", value, 0, 1, False, f"forced mismatch at {value}")
+        return CheckReport(0, 1, f"forced mismatch at {value}")
 
     monkeypatch.setitem(verify.CHECKS, "theorem1", always_fail)
 
@@ -200,16 +205,42 @@ def test_quiet_is_a_verify_option_only(capsys, argv):
     assert "--quiet" in capsys.readouterr().err
 
 
-def test_former_domain_error_names_are_domain_error_and_exit_2(capsys, monkeypatch):
-    for former in (ZeroOperandError, OutOfRangeError, ZeroValueError):
-        assert former is DomainError
+def test_domain_error_exits_2(capsys, monkeypatch):
+    def out_of_domain(n):
+        raise DomainError(f"n={n} is outside the domain")
 
-        def raise_former(n, former=former):
-            raise former(f"n={n} is outside the domain")
+    monkeypatch.setattr(cli, "lcm_range_factored", out_of_domain)
+    code, out, err = run_cli(capsys, "lcm-range", "5")
+    assert (code, out, err) == (2, "", "error: n=5 is outside the domain\n")
 
-        monkeypatch.setattr(cli, "lcm_range_factored", raise_former)
-        code, out, err = run_cli(capsys, "lcm-range", "5")
-        assert (code, out, err) == (2, "", "error: n=5 is outside the domain\n")
+
+def test_verify_jobs_default_counts_the_cpus_this_process_may_use(capsys, monkeypatch):
+    calls = []
+
+    def recording(check, lo, hi, workers):
+        calls.append(workers)
+        return verify.verify_range_detailed(check, lo, hi, workers)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(cli, "verify_range_detailed", recording)
+    code, out, _ = run_cli(capsys, "verify", "eq4", "--from", "1", "--to", "8")
+    assert code == 0 and "failures=0" in out
+    assert calls == [1]
+
+
+def test_in_process_sweep_never_imports_the_process_pool():
+    script = (
+        "import sys\n"
+        "from binomlcm.cli import main\n"
+        "code = main(['verify', 'eq4', '--from', '1', '--to', '8', '--jobs', '1'])\n"
+        "print(code, 'concurrent.futures.process' in sys.modules)\n"
+    )
+    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    assert done.stdout.splitlines()[-1] == "0 False"
 
 
 def test_sieve_ceiling_is_a_usage_error(capsys):

@@ -10,8 +10,6 @@ from hypothesis import strategies as st
 from binomlcm import (
     DomainError,
     NotPrimeError,
-    OutOfRangeError,
-    ZeroOperandError,
     binomial,
     binomial_row,
     factored_decimal,
@@ -94,11 +92,11 @@ def test_binomial_examples():
 
 
 def test_binomial_domain_errors():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         binomial(3, 5)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         binomial(-1, 0)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         binomial(4, -2)
 
 
@@ -208,9 +206,9 @@ def test_factor_round_trip_random(n):
 def test_validate_factored_rejects_bad_maps():
     with pytest.raises(NotPrimeError):
         validate_factored({4: 1})
-    with pytest.raises(ZeroOperandError):
+    with pytest.raises(DomainError):
         validate_factored({2: 0})
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         validate_factored({3: 1, 2: 1})
 
 

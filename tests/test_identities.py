@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from binomlcm import (
     DomainError,
     NotPrimeError,
-    OutOfRangeError,
-    ZeroValueError,
     factored_value,
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -165,7 +163,7 @@ def test_row_walk_memory_does_not_grow_with_k():
 def test_row_max_rejects_bad_input():
     with pytest.raises(NotPrimeError):
         row_max_vp(5, 6)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         row_max_vp(-1, 2)
 
 
@@ -187,7 +185,7 @@ def test_vp_lcm_range_examples():
     assert vp_lcm_range(1, 2) == 0
     assert vp_lcm_range(8, 2) == 3
     assert vp_lcm_range(10, 3) == 2
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         vp_lcm_range(0, 2)
 
 
@@ -213,7 +211,7 @@ def test_vp_successor_examples():
     assert vp_successor_formula(7, 2) == 3
     assert vp_successor_formula(5, 2) == 1
     assert vp_successor_formula(4, 2) == 0
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         vp_successor_formula(0, 2)
 
 
@@ -254,7 +252,7 @@ def test_lcm_range_factored_examples():
     assert factored_value(lcm_range_factored(6)) == 60
     assert lcm_range_factored(10) == {2: 3, 3: 2, 5: 1, 7: 1}
     assert factored_value(lcm_range_factored(10)) == 2520
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         lcm_range_factored(0)
 
 
@@ -282,7 +280,7 @@ def test_row_identity_examples():
     assert lcm_binom_row_identity(1) == {}
     assert factored_value(lcm_binom_row_identity(5)) == 10  # lcm(1..6)/6
     assert factored_value(lcm_binom_row_identity(7)) == 105  # lcm(1..8)/8
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         lcm_binom_row_identity(-3)
 
 

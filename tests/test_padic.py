@@ -7,10 +7,7 @@ from hypothesis import strategies as st
 from binomlcm import (
     DomainError,
     NotPrimeError,
-    OutOfRangeError,
-    ZeroValueError,
     binomial,
-    carries_when_adding,
     expand,
     primes_upto,
     vp,
@@ -23,6 +20,19 @@ PRIMES_50 = primes_upto(50)
 PRIMES_100 = primes_upto(100)
 
 some_prime = st.sampled_from(PRIMES_100)
+
+
+def carries_when_adding(a: int, b: int, p: int) -> int:
+    """Carry count of the schoolbook base-p addition a + b, for a, b >= 0
+    and p prime: the third route to v_p(C(a + b, a))."""
+    carries = 0
+    carry = 0
+    while a or b or carry:
+        a, ad = divmod(a, p)
+        b, bd = divmod(b, p)
+        carry = 1 if ad + bd + carry >= p else 0
+        carries += carry
+    return carries
 
 
 # -------------------------------------------------------------- expansions
@@ -38,7 +48,7 @@ def test_expand_examples():
 def test_expand_rejects_composite_base():
     with pytest.raises(NotPrimeError):
         expand(5, 4)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         expand(-1, 2)
 
 
@@ -70,7 +80,7 @@ def test_vp_examples():
 
 
 def test_vp_domain_errors():
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         vp(0, 3)
     with pytest.raises(NotPrimeError):
         vp(12, 6)
@@ -93,11 +103,11 @@ def test_kummer_examples():
 
 
 def test_kummer_domain_errors():
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         vp_binomial_kummer(3, 5, 2)
     with pytest.raises(NotPrimeError):
         vp_binomial_kummer(5, 2, 4)
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         vp_binomial_kummer(-1, -2, 2)
 
 
@@ -106,13 +116,6 @@ def test_carries_examples():
     # 10 + 11 base 2: the only carry comes out of index 1 (v2 of C(5,2) = 1)
     assert carries_when_adding(2, 3, 2) == 1
     assert carries_when_adding(4, 6, 3) == 1
-
-
-def test_carries_domain_errors():
-    with pytest.raises(NotPrimeError):
-        carries_when_adding(1, 2, 9)
-    with pytest.raises(OutOfRangeError):
-        carries_when_adding(-1, 2, 3)
 
 
 def test_vp_factorial_examples():
@@ -131,7 +134,7 @@ def test_legendre_examples():
     assert vp_binomial_legendre(9, 0, 2) == 0
     assert vp_binomial_legendre(5, 2, 2) == 1
     assert vp_binomial_legendre(10, 4, 3) == 1
-    with pytest.raises(OutOfRangeError):
+    with pytest.raises(DomainError):
         vp_binomial_legendre(2, 4, 3)
     for n, k in [(3, -1), (-1, 0), (4, -2)]:
         with pytest.raises(DomainError, match="vp_binomial_legendre"):

@@ -5,9 +5,8 @@ import pytest
 
 import binomlcm.verify as verify
 from binomlcm import (
-    OutOfRangeError,
+    DomainError,
     UnknownCheckError,
-    ZeroValueError,
     check_eq3,
     check_eq4,
     check_eq5,
@@ -35,7 +34,7 @@ def test_check_lower_bound_examples():
     assert report.passed and report.lhs == 420 and report.rhs == 64
     report = check_lower_bound(2)
     assert report.passed and report.lhs == 2 and report.rhs == 2
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         check_lower_bound(0)
 
 
@@ -45,7 +44,7 @@ def test_check_proof_chain_examples():
     assert report.passed and report.lhs == 60 and report.rhs == 32
     report = check_proof_chain(8)
     assert report.passed and report.lhs == 840 and report.rhs == 128
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         check_proof_chain(0)
 
 
@@ -81,36 +80,45 @@ def test_psi_ratio_values():
     assert psi_ratio(1) == 0.0
     assert abs(psi_ratio(2) - math.log(2) / 2) < 1e-12
     assert abs(psi_ratio(10) - math.log(2520) / 10) < 1e-12
-    with pytest.raises(ZeroValueError):
+    with pytest.raises(DomainError):
         psi_ratio(0)
 
 
 def test_verify_range_counts_and_summary():
-    summary = verify_range_detailed("theorem1", 0, 200, 1)[0]
+    summary = verify_range_detailed("theorem1", 0, 200, 1)
     assert summary.failures == 0
     assert summary.total == 201
     assert summary.first_failure is None
     assert summary.elapsed > 0
 
-    summary = verify_range_detailed("lower-bound", 1, 1, 4)[0]
+    summary = verify_range_detailed("lower-bound", 1, 1, 4)
     assert summary.failures == 0 and summary.total == 1
 
 
-def test_verify_range_is_worker_independent():
-    results = [verify_range_detailed("theorem1", 0, 60, workers)[0] for workers in (1, 2, 3)]
+def test_verify_range_is_worker_independent(monkeypatch):
+    results = [verify_range_detailed("theorem1", 0, 60, workers) for workers in (1, 2, 3)]
     normalized = {dataclasses.replace(s, elapsed=0.0) for s in results}
     assert len(normalized) == 1
+
+    real = verify.lcm_binom_row_direct
+    monkeypatch.setattr(verify, "lcm_binom_row_direct",
+                        lambda k: 999 if k in (3, 17, 18, 40) else real(k))
+    results = [verify_range_detailed("theorem1", 0, 45, workers) for workers in (1, 2, 3)]
+    normalized = {dataclasses.replace(s, elapsed=0.0) for s in results}
+    (summary,) = normalized
+    assert summary.failing == (3, 17, 18, 40)
+    assert summary.first_witness == verify.check_theorem1(3).witness
 
 
 def test_verify_range_domain_errors():
     with pytest.raises(UnknownCheckError):
-        verify_range_detailed("no-such-check", 0, 10)[0]
-    with pytest.raises(OutOfRangeError):
-        verify_range_detailed("theorem1", 5, 2)[0]
-    with pytest.raises(OutOfRangeError):
-        verify_range_detailed("theorem1", 0, 5, workers=0)[0]
-    with pytest.raises(ZeroValueError):
-        verify_range_detailed("lower-bound", 0, 3, workers=1)[0]
+        verify_range_detailed("no-such-check", 0, 10)
+    with pytest.raises(DomainError):
+        verify_range_detailed("theorem1", 5, 2)
+    with pytest.raises(DomainError):
+        verify_range_detailed("theorem1", 0, 5, workers=0)
+    with pytest.raises(DomainError):
+        verify_range_detailed("lower-bound", 0, 3, workers=1)
 
 
 def test_failure_reports_carry_witness(monkeypatch):
@@ -126,14 +134,16 @@ def test_failure_reports_carry_witness(monkeypatch):
     assert report.witness is not None and "999" in report.witness
     assert verify.check_theorem1(4).passed
 
-    summary, failing = verify_range_detailed("theorem1", 0, 12, workers=1)
+    summary = verify_range_detailed("theorem1", 0, 12, workers=1)
+    assert summary.failing == (5, 9)
     assert summary.failures == 2
     assert summary.first_failure == 5
     assert summary.first_witness == report.witness
-    assert failing == [5, 9]
 
 
 def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatch):
+    import concurrent.futures
+
     pools = []
 
     class InlinePool:
@@ -153,9 +163,9 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatc
             self.tasks.extend(zip(starts, ends))
             return [fn(check, lo, hi) for check, (lo, hi) in zip(checks, self.tasks)]
 
-    monkeypatch.setattr(verify, "ProcessPoolExecutor", InlinePool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
 
-    summary, _ = verify_range_detailed("lower-bound", 1, 32, workers=2)
+    summary = verify_range_detailed("lower-bound", 1, 32, workers=2)
     assert pools[-1] == (2, [(a, a + 1) for a in range(1, 33, 2)])
     assert summary.total == 32 and summary.failures == 0
 
@@ -165,7 +175,7 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatc
     verify_range_detailed("lower-bound", 1, 3, workers=5000)
     assert pools[-1] == (3, [(1, 1), (2, 2), (3, 3)])
 
-    summary, _ = verify_range_detailed("lower-bound", 7, 7, workers=5000)
+    summary = verify_range_detailed("lower-bound", 7, 7, workers=5000)
     assert len(pools) == 3 and summary.total == 1 and summary.failures == 0
 
     verify_range_detailed("lower-bound", 1, 200, workers=5000)
@@ -176,3 +186,25 @@ def test_passed_reports_have_no_witness():
     for k in range(0, 30):
         report = check_theorem1(k)
         assert report.passed and report.witness is None
+
+
+def test_check_report_is_both_sides_and_the_witness():
+    assert [field.name for field in dataclasses.fields(verify.CheckReport)] == ["lhs", "rhs", "witness"]
+    assert verify.CheckReport(0, 1, "w").passed is False
+    assert verify.CheckReport(1, 1, None).passed is True
+    report = verify.CheckReport(0, 1, "w")
+    with pytest.raises(AttributeError):
+        report.passed = True
+
+
+def test_range_summary_stores_failing_inputs_once():
+    assert [field.name for field in dataclasses.fields(verify.RangeSummary)] == [
+        "check_name", "lo", "hi", "failing", "first_witness", "elapsed",
+    ]
+    summary = verify.RangeSummary("eq4", 3, 12, (4, 7, 11), "w4", 0.5)
+    assert (summary.total, summary.failures, summary.first_failure) == (10, 3, 4)
+    clean = verify.RangeSummary("eq4", 3, 3, (), None, 0.5)
+    assert (clean.total, clean.failures, clean.first_failure) == (1, 0, None)
+    with pytest.raises(AttributeError):
+        clean.total = 2
+
