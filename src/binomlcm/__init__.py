@@ -1,10 +1,11 @@
 """Exact lcm identities for binomial coefficient rows.
 
 The lcm of the row C(k, 0), ..., C(k, k) equals lcm(1, ..., k+1) / (k+1);
-this package computes both sides independently (a per-prime digit-formula
-fast path and a big-integer fold oracle), exposes the underlying p-adic
-valuation machinery, and ships a verification harness plus CLI that sweep
-the identities and the classical 2^(n-1) <= lcm(1..n) <= 3^n bounds.
+this package computes both sides independently (a fast path dividing the
+power-fit prime map of lcm(1..k+1) by k+1, and a big-integer fold oracle),
+exposes the underlying p-adic valuation machinery, and ships a
+verification harness plus CLI that sweep the identities and the classical
+2^(n-1) <= lcm(1..n) <= 3^n bounds.
 """
 
 from .errors import (
@@ -53,6 +54,7 @@ from .verify import (
     check_proof_chain,
     check_prop1,
     check_theorem1,
+    prop1_at,
     psi_ratio,
     verify_range_detailed,
 )

@@ -24,10 +24,9 @@ from .identities import (
     lcm_binom_row_identity,
     lcm_range_factored,
     row_max_vp,
-    row_max_vp_bruteforce,
 )
 from .padic import expand, vp, vp_binomial_kummer, vp_binomial_legendre
-from .verify import CHECKS, psi_ratio, verify_range_detailed
+from .verify import CHECKS, prop1_at, psi_ratio, verify_range_detailed
 
 __all__ = ["main", "build_parser"]
 
@@ -48,12 +47,6 @@ def _emit(args: argparse.Namespace, op: str, inputs: dict[str, Any], output: Any
             print(line)
 
 
-# Factor maps come from the ascending sieve and only ever lose keys, so
-# their items are already in ascending prime order.
-def _factor_pairs(factors: dict[int, int]) -> list[list[int]]:
-    return [[p, e] for p, e in factors.items()]
-
-
 def _format_factored(factors: dict[int, int]) -> str:
     if not factors:
         return "1"
@@ -64,7 +57,9 @@ def _factored_result(args: argparse.Namespace, label: str,
                      factors: dict[int, int]) -> tuple[dict[str, Any], list[str]]:
     """Output record and human line of a factored result, sharing one render
     of the --value digits; --json mode builds no human line."""
-    output: dict[str, Any] = {"factors": _factor_pairs(factors)}
+    # Factor maps come from the ascending sieve and only ever lose keys, so
+    # their items are in ascending prime order; json writes tuples as arrays.
+    output: dict[str, Any] = {"factors": list(factors.items())}
     if args.value:
         output["value"] = factored_decimal(factors)
     if args.json:
@@ -112,12 +107,10 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
     ]
     ok = True
     if args.oracle:
-        scanned = row_max_vp_bruteforce(args.k, args.p)
-        output["oracle"] = scanned
-        ok = scanned == result.max_valuation
-        if ok and result.attained_at is not None:
-            ok = vp_binomial_kummer(args.k, result.attained_at, args.p) == scanned
-        human.append(f"row scan oracle: {scanned} ({'agrees' if ok else 'DISAGREES'})")
+        report = prop1_at(args.k, args.p)
+        output["oracle"] = report.rhs
+        ok = report.passed
+        human.append(f"row scan oracle: {report.rhs} ({'agrees' if ok else 'DISAGREES'})")
     _emit(args, "row-max", {"k": args.k, "p": args.p}, output, ok, human)
     return 0 if ok else 1
 

@@ -1,10 +1,12 @@
 """Closed forms for binomial-row valuations and range lcms.
 
 The centerpiece: the lcm of the row C(k, 0), ..., C(k, k) equals
-lcm(1, ..., k+1) / (k+1), so the row lcm can be produced per prime from
-digit data alone, never touching a binomial coefficient. The brute-force
-row scan and the big-integer fold over the literal row live here too, as
-the independent oracles everything is checked against.
+lcm(1, ..., k+1) / (k+1). The fast path takes the power-fit map of
+lcm(1..k+1), the largest e with p**e <= k+1 at each prime p <= k+1, and
+subtracts v_p(k+1) where p divides k+1, never touching a binomial
+coefficient. The digit formulas of Prop. 1 and eqs. (4)-(5) live here, as
+do the independent oracles: the brute-force row scan and the big-integer
+fold over the literal row.
 """
 
 from __future__ import annotations

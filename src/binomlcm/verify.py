@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Union
 
 from .errors import DomainError, UnknownCheckError
-from .exact import binomial, factored_value, is_prime, primes_upto
+from .exact import binomial, factored_value, primes_upto
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -31,6 +31,7 @@ __all__ = [
     "RangeSummary",
     "check_theorem1",
     "check_prop1",
+    "prop1_at",
     "check_eq3",
     "check_eq4",
     "check_eq5",
@@ -102,39 +103,38 @@ def check_theorem1(k: int) -> CheckReport:
     return CheckReport(identity, direct, witness)
 
 
-def check_prop1(k: int) -> CheckReport:
-    """Row-maximum valuation: digit formula vs. brute-force row scan, plus
-    attainment at the witness index, for every prime up to the sweep bound."""
-    formula: dict[int, int] = {}
-    brute: dict[int, int] = {}
+def prop1_at(k: int, p: int) -> CheckReport:
+    """Prop. 1 at one prime: the digit formula's row maximum vs. the row
+    scan, then the valuation at the formula's witness index vs. the scan."""
+    result = row_max_vp(k, p)
+    scanned = row_max_vp_bruteforce(k, p)
     witness = None
-    for p in primes_upto(CHECK_PRIME_BOUND):
-        result = row_max_vp(k, p)
-        scanned = row_max_vp_bruteforce(k, p)
-        formula[p] = result.max_valuation
-        brute[p] = scanned
-        if witness is None and result.max_valuation != scanned:
-            witness = f"p={p}: digit formula {result.max_valuation} != row scan {scanned}"
-        if witness is None and result.attained_at is not None:
-            at_witness = vp_binomial_kummer(k, result.attained_at, p)
-            if at_witness != scanned:
-                witness = (
-                    f"p={p}: valuation {at_witness} at witness index "
-                    f"{result.attained_at} != row maximum {scanned}"
-                )
-    return CheckReport(formula, brute, witness)
+    if result.max_valuation != scanned:
+        witness = f"p={p}: digit formula {result.max_valuation} != row scan {scanned}"
+    elif result.attained_at is not None:
+        at_witness = vp_binomial_kummer(k, result.attained_at, p)
+        if at_witness != scanned:
+            witness = (
+                f"p={p}: valuation {at_witness} at witness index "
+                f"{result.attained_at} != row maximum {scanned}"
+            )
+    return CheckReport(result.max_valuation, scanned, witness)
 
 
-def _next_prime_above(n: int) -> int:
-    q = n + 1
-    while not is_prime(q):
-        q += 1
-    return q
+def check_prop1(k: int) -> CheckReport:
+    """prop1_at for every prime up to the sweep bound; the witness is that of
+    the smallest failing prime."""
+    reports = {p: prop1_at(k, p) for p in primes_upto(CHECK_PRIME_BOUND)}
+    witness = next((r.witness for r in reports.values() if not r.passed), None)
+    formula = {p: r.lhs for p, r in reports.items()}
+    scanned = {p: r.rhs for p, r in reports.items()}
+    return CheckReport(formula, scanned, witness)
 
 
 def check_eq3(n: int) -> CheckReport:
     """Range-lcm exponents: largest-power formula vs. valuations of the fold
-    oracle, for every prime <= n and the first prime beyond n (expected 0)."""
+    oracle at every prime of the map, then the map's value vs. the fold, so
+    a prime missing from the map fails too."""
     if n < 1:
         raise DomainError(f"check_eq3 expects n >= 1, got {n}")
     fold = math.lcm(*range(1, n + 1))
@@ -143,11 +143,8 @@ def check_eq3(n: int) -> CheckReport:
     mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct[p]}"
                   for p, e in formula.items() if e != direct[p])
     witness = next(mismatches, None)
-    beyond = _next_prime_above(n)
-    formula[beyond] = 0
-    direct[beyond] = vp(fold, beyond)
-    if witness is None and direct[beyond] != 0:
-        witness = f"p={beyond} exceeds n yet divides the fold lcm (valuation {direct[beyond]})"
+    if witness is None and (value := factored_value(formula)) != fold:
+        witness = f"n={n}: power-fit map value {value} != fold lcm {fold}"
     return CheckReport(formula, direct, witness)
 
 
@@ -167,7 +164,8 @@ def check_eq4(k: int) -> CheckReport:
 
 
 def check_eq5(k: int) -> CheckReport:
-    """Row-lcm exponent formula vs. the range/successor difference."""
+    """Row-lcm exponent formula, read off the digits of k, vs. the range
+    exponent of k+1 less v_p(k+1) by division, which reads no digit."""
     if k < 1:
         raise DomainError(f"check_eq5 expects k >= 1, got {k}")
     formula: dict[int, int] = {}
@@ -175,7 +173,7 @@ def check_eq5(k: int) -> CheckReport:
     witness = None
     for p in primes_upto(CHECK_PRIME_BOUND):
         formula[p] = vp_row_lcm_formula(k, p)
-        difference[p] = vp_lcm_range(k + 1, p) - vp_successor_formula(k, p)
+        difference[p] = vp_lcm_range(k + 1, p) - vp(k + 1, p)
         if witness is None and formula[p] != difference[p]:
             witness = (
                 f"p={p}: row-lcm formula {formula[p]} != range/successor difference "

@@ -7,6 +7,7 @@ performance gates of criterion 7.
 """
 
 import dataclasses
+import functools
 import json
 import os
 import random
@@ -17,6 +18,7 @@ from pathlib import Path
 
 import binomlcm
 from binomlcm import (
+    RangeSummary,
     binomial,
     factored_value,
     lcm_binom_row_identity,
@@ -47,8 +49,14 @@ def _report(name: str, ok: bool, detail: str = "") -> None:
     assert ok, line
 
 
+@functools.cache
+def _theorem1_sweep_one_worker() -> RangeSummary:
+    """The single-worker k <= 2000 theorem1 sweep, run once for criteria 1 and 8."""
+    return verify_range_detailed("theorem1", 0, 2000, workers=1)
+
+
 def test_criterion_1_theorem_sweep_exact():
-    summary = verify_range_detailed("theorem1", 0, 2000, workers=1)
+    summary = _theorem1_sweep_one_worker()
     _report(
         "criterion 1: row-lcm identity = direct fold, bit-exact, 0 <= k <= 2000",
         summary.failures == 0,
@@ -186,7 +194,8 @@ def test_criterion_7_fast_path_performance_cold():
 
 
 def test_criterion_8_worker_determinism():
-    summaries = [verify_range_detailed("theorem1", 0, 2000, workers=w) for w in (1, 4, 8)]
+    summaries = [_theorem1_sweep_one_worker()]
+    summaries += [verify_range_detailed("theorem1", 0, 2000, workers=w) for w in (4, 8)]
     normalized = {dataclasses.replace(s, elapsed=0.0) for s in summaries}
     ok = len(normalized) == 1 and summaries[0].failures == 0
     _report(

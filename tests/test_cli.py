@@ -90,6 +90,17 @@ def test_row_max_with_oracle(capsys):
     assert record["ok"] is True
 
 
+@pytest.mark.parametrize("name", ["row_max_vp_bruteforce", "vp_binomial_kummer"])
+def test_row_max_oracle_disagreement_exits_1(capsys, monkeypatch, name):
+    monkeypatch.setattr(verify, name, lambda *args: 7)
+    code, out, _ = run_cli(capsys, "row-max", "5", "2", "--oracle", "--json")
+    assert code == 1
+    (record,) = parse_records(out)
+    assert record["ok"] is False
+    code, out, _ = run_cli(capsys, "row-max", "5", "2", "--oracle")
+    assert code == 1 and "DISAGREES" in out
+
+
 @pytest.mark.parametrize("p", ["2", "47"])
 def test_row_max_oracle_over_many_blocks(capsys, p):
     code, out, _ = run_cli(capsys, "row-max", "999999", p, "--oracle", "--json")

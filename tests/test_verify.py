@@ -3,9 +3,11 @@ import math
 
 import pytest
 
+import binomlcm.identities as identities
 import binomlcm.verify as verify
 from binomlcm import (
     DomainError,
+    NotPrimeError,
     UnknownCheckError,
     check_eq3,
     check_eq4,
@@ -15,6 +17,7 @@ from binomlcm import (
     check_proof_chain,
     check_prop1,
     check_theorem1,
+    prop1_at,
     psi_ratio,
     verify_range_detailed,
 )
@@ -70,10 +73,88 @@ def test_grid_checks_pass_on_small_inputs():
         assert check_eq5(n).passed
 
 
-def test_eq3_reports_prime_beyond_range():
+def test_eq3_sides_stop_at_n():
     report = check_eq3(10)
-    assert report.lhs[11] == 0 and report.rhs[11] == 0
-    assert report.lhs == report.rhs
+    assert report.lhs == report.rhs == {2: 3, 3: 2, 5: 1, 7: 1}
+
+
+def test_prop1_at_compares_formula_with_scan():
+    report = prop1_at(5, 2)
+    assert report.passed and report.lhs == report.rhs == 1
+    assert prop1_at(0, 5) == verify.CheckReport(0, 0, None)
+    with pytest.raises(NotPrimeError):
+        prop1_at(5, 4)
+
+
+# check, the verify name one side looks up, a fake of it built from the real
+# function, the swept range, and the failing inputs and first witness the
+# sweep must report.
+BROKEN_SIDES = [
+    pytest.param("prop1", "row_max_vp_bruteforce",
+        lambda real: lambda k, p: real(k, p) + (k in (6, 9) and p in (3, 5)),
+        (0, 12), (6, 9), "p=3: digit formula 1 != row scan 2",
+        id="prop1-scan"),
+    pytest.param("prop1", "vp_binomial_kummer",
+        lambda real: lambda n, k, p: real(n, k, p) + (n == 5),
+        (0, 12), (5,), "p=2: valuation 2 at witness index 3 != row maximum 1",
+        id="prop1-witness-index"),
+    pytest.param("eq3", "lcm_range_factored",
+        lambda real: lambda n: {p: e for p, e in real(n).items() if p != 7},
+        (1, 12), (7, 8, 9, 10, 11, 12), "n=7: power-fit map value 60 != fold lcm 420",
+        id="eq3-missing-prime"),
+    pytest.param("eq3", "lcm_range_factored",
+        lambda real: lambda n: {**real(n), 3: 3} if n in (9, 10) else real(n),
+        (1, 12), (9, 10), "p=3: power-fit exponent 3 != fold valuation 2",
+        id="eq3-exponent"),
+    pytest.param("eq4", "vp_successor_formula",
+        lambda real: lambda k, p: real(k, p) + (k in (3, 8)),
+        (1, 12), (3, 8), "p=2: rollover formula 3 != v_p(k+1) 2",
+        id="eq4-rollover"),
+    pytest.param("eq5", "vp_row_lcm_formula",
+        lambda real: lambda k, p: real(k, p) + (k in (2, 11) and p == 3),
+        (1, 12), (2, 11), "p=3: row-lcm formula 1 != range/successor difference 0",
+        id="eq5-formula"),
+    pytest.param("eq5", "vp",
+        lambda real: lambda n, p: real(n, p) + (n == 8 and p == 2),
+        (1, 12), (7,), "p=2: row-lcm formula 0 != range/successor difference -1",
+        id="eq5-division"),
+    pytest.param("lower-bound", "lcm_range_factored",
+        lambda real: lambda n: {} if n in (5, 9) else real(n),
+        (1, 12), (5, 9), "n=5: lcm(1..n) = 1 < 2^(n-1) = 16",
+        id="lower-bound"),
+    pytest.param("proof-chain", "lcm_binom_row_direct",
+        lambda real: lambda k: 2 * real(k) if k in (4, 10) else real(k),
+        (1, 12), (5, 11), "lcm(1..n) = 60 != n * row lcm = 120",
+        id="proof-chain"),
+    pytest.param("hanson", "lcm_range_factored",
+        lambda real: lambda n: {2: 2 * n} if n in (4, 6) else real(n),
+        (1, 12), (4, 6), "n=4: lcm(1..n) = 256 > 3^n = 81",
+        id="hanson"),
+]
+
+
+@pytest.mark.parametrize("check, name, fake, bounds, failing, witness", BROKEN_SIDES)
+def test_broken_side_fails_the_sweep(monkeypatch, check, name, fake, bounds, failing, witness):
+    monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
+    summary = verify_range_detailed(check, *bounds, workers=1)
+    assert summary.failing == failing
+    assert summary.first_witness == witness
+
+
+def test_eq5_sees_a_shifted_digit_span(monkeypatch):
+    """The formula side reads digits; the difference side must not, or a
+    shift in the shared digit helper cancels out of the comparison."""
+    real = identities._digit_span
+
+    def shifted(k, p):
+        top, lowest_open = real(k, p)
+        return top, None if lowest_open is None else lowest_open + 1
+
+    monkeypatch.setattr(identities, "_digit_span", shifted)
+    eq4 = verify_range_detailed("eq4", 1, 60)
+    eq5 = verify_range_detailed("eq5", 1, 60)
+    assert eq4.failing == eq5.failing == tuple(range(1, 61))
+    assert eq5.first_witness == "p=3: row-lcm formula -1 != range/successor difference 0"
 
 
 def test_psi_ratio_values():
