@@ -22,7 +22,6 @@ from .exact import (
     is_prime,
     primes_upto,
     require_prime,
-    validate_factored,
 )
 from .identities import (
     RowMaxResult,

@@ -20,7 +20,6 @@ __all__ = [
     "require_prime",
     "factored_value",
     "factored_decimal",
-    "validate_factored",
 ]
 
 
@@ -155,15 +154,3 @@ def factored_decimal(factors: Mapping[int, int]) -> str:
     decimal arithmetic so that no quadratic int -> str conversion runs."""
     with localcontext(_EXACT):
         return str(_multiply_out(factors, _to_decimal))
-
-
-def validate_factored(factors: Mapping[int, int]) -> None:
-    """Check factored-map invariants: ascending prime keys, exponents >= 1."""
-    previous = 1
-    for p, e in factors.items():
-        require_prime(p, name="factor key")
-        if e < 1:
-            raise DomainError(f"exponent of prime {p} must be >= 1, got {e}")
-        if p <= previous:
-            raise DomainError(f"prime keys must be ascending, saw {p} after {previous}")
-        previous = p

@@ -12,10 +12,10 @@ fold over the literal row.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import reduce
 from itertools import accumulate
 from operator import sub
+from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, primes_upto, require_prime
@@ -34,8 +34,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RowMaxResult:
+class RowMaxResult(NamedTuple):
     """Maximum p-adic valuation over one binomial row, and an index
     realizing it: p**N - 1 for the top digit index N of k, or None for the
     single-entry row k = 0."""

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Union
+from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, UnknownCheckError
 from .exact import binomial, factored_value, primes_upto
@@ -54,8 +53,7 @@ MAX_WORKERS = 61
 Side = Union[int, dict[int, int]]
 
 
-@dataclass(frozen=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of one check at one input: both sides, and on failure a
     witness naming the first divergence."""
 
@@ -68,8 +66,7 @@ class CheckReport:
         return self.witness is None
 
 
-@dataclass(frozen=True)
-class RangeSummary:
+class RangeSummary(NamedTuple):
     """A sweep over [lo, hi]: its failing inputs, ascending, and the witness
     of the first of them, both independent of execution order."""
 
@@ -91,6 +88,27 @@ class RangeSummary:
     @property
     def first_failure(self) -> int | None:
         return self.failing[0] if self.failing else None
+
+
+# Smallest input of each check. Every domain is a lower bound, so a range is
+# in its check's domain exactly when its first input is.
+_LOWEST = {"theorem1": 0, "prop1": 0, "eq3": 1, "eq4": 1, "eq5": 1,
+           "lower-bound": 1, "proof-chain": 1, "hanson": 1}
+
+
+def _require_in_domain(check: str, n: int) -> None:
+    if n < _LOWEST[check]:
+        raise DomainError(f"check {check} expects inputs >= {_LOWEST[check]}, got {n}")
+
+
+def _at_each_prime(k: int, at: Callable[[int, int], CheckReport]) -> CheckReport:
+    """One per-prime comparison at every prime up to the sweep bound, merged
+    into prime -> side maps; the witness is that of the smallest failing
+    prime."""
+    reports = {p: at(k, p) for p in primes_upto(CHECK_PRIME_BOUND)}
+    witness = next((r.witness for r in reports.values() if not r.passed), None)
+    return CheckReport({p: r.lhs for p, r in reports.items()},
+                       {p: r.rhs for p, r in reports.items()}, witness)
 
 
 def check_theorem1(k: int) -> CheckReport:
@@ -122,21 +140,15 @@ def prop1_at(k: int, p: int) -> CheckReport:
 
 
 def check_prop1(k: int) -> CheckReport:
-    """prop1_at for every prime up to the sweep bound; the witness is that of
-    the smallest failing prime."""
-    reports = {p: prop1_at(k, p) for p in primes_upto(CHECK_PRIME_BOUND)}
-    witness = next((r.witness for r in reports.values() if not r.passed), None)
-    formula = {p: r.lhs for p, r in reports.items()}
-    scanned = {p: r.rhs for p, r in reports.items()}
-    return CheckReport(formula, scanned, witness)
+    """prop1_at at every prime up to the sweep bound."""
+    return _at_each_prime(k, prop1_at)
 
 
 def check_eq3(n: int) -> CheckReport:
     """Range-lcm exponents: largest-power formula vs. valuations of the fold
     oracle at every prime of the map, then the map's value vs. the fold, so
     a prime missing from the map fails too."""
-    if n < 1:
-        raise DomainError(f"check_eq3 expects n >= 1, got {n}")
+    _require_in_domain("eq3", n)
     fold = math.lcm(*range(1, n + 1))
     formula = lcm_range_factored(n)
     direct = {p: vp(fold, p) for p in formula}
@@ -148,44 +160,44 @@ def check_eq3(n: int) -> CheckReport:
     return CheckReport(formula, direct, witness)
 
 
-def check_eq4(k: int) -> CheckReport:
-    """Successor valuation: digit-rollover formula vs. direct division count."""
-    if k < 1:
-        raise DomainError(f"check_eq4 expects k >= 1, got {k}")
-    formula: dict[int, int] = {}
-    direct: dict[int, int] = {}
+def _eq4_at(k: int, p: int) -> CheckReport:
+    """Successor valuation at one prime: digit-rollover formula vs. direct
+    division count."""
+    formula = vp_successor_formula(k, p)
+    direct = vp(k + 1, p)
     witness = None
-    for p in primes_upto(CHECK_PRIME_BOUND):
-        formula[p] = vp_successor_formula(k, p)
-        direct[p] = vp(k + 1, p)
-        if witness is None and formula[p] != direct[p]:
-            witness = f"p={p}: rollover formula {formula[p]} != v_p(k+1) {direct[p]}"
+    if formula != direct:
+        witness = f"p={p}: rollover formula {formula} != v_p(k+1) {direct}"
     return CheckReport(formula, direct, witness)
 
 
-def check_eq5(k: int) -> CheckReport:
-    """Row-lcm exponent formula, read off the digits of k, vs. the range
-    exponent of k+1 less v_p(k+1) by division, which reads no digit."""
-    if k < 1:
-        raise DomainError(f"check_eq5 expects k >= 1, got {k}")
-    formula: dict[int, int] = {}
-    difference: dict[int, int] = {}
+def check_eq4(k: int) -> CheckReport:
+    """_eq4_at at every prime up to the sweep bound."""
+    _require_in_domain("eq4", k)
+    return _at_each_prime(k, _eq4_at)
+
+
+def _eq5_at(k: int, p: int) -> CheckReport:
+    """Row-lcm exponent at one prime: the formula, read off the digits of k,
+    vs. the range exponent of k+1 less v_p(k+1) by division, which reads no
+    digit."""
+    formula = vp_row_lcm_formula(k, p)
+    difference = vp_lcm_range(k + 1, p) - vp(k + 1, p)
     witness = None
-    for p in primes_upto(CHECK_PRIME_BOUND):
-        formula[p] = vp_row_lcm_formula(k, p)
-        difference[p] = vp_lcm_range(k + 1, p) - vp(k + 1, p)
-        if witness is None and formula[p] != difference[p]:
-            witness = (
-                f"p={p}: row-lcm formula {formula[p]} != range/successor difference "
-                f"{difference[p]}"
-            )
+    if formula != difference:
+        witness = f"p={p}: row-lcm formula {formula} != range/successor difference {difference}"
     return CheckReport(formula, difference, witness)
+
+
+def check_eq5(k: int) -> CheckReport:
+    """_eq5_at at every prime up to the sweep bound."""
+    _require_in_domain("eq5", k)
+    return _at_each_prime(k, _eq5_at)
 
 
 def check_lower_bound(n: int) -> CheckReport:
     """lcm(1..n) >= 2**(n-1), compared as exact integers."""
-    if n < 1:
-        raise DomainError(f"check_lower_bound expects n >= 1, got {n}")
+    _require_in_domain("lower-bound", n)
     range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     witness = None
@@ -198,8 +210,7 @@ def check_proof_chain(n: int) -> CheckReport:
     """The three exact links from the row at n-1 up to the power-of-two floor:
     lcm(1..n) = n * row lcm, n * row max >= 2**(n-1), lcm(1..n) >= n * row max.
     The row is unimodal, so its max is the central entry C(n-1, (n-1) // 2)."""
-    if n < 1:
-        raise DomainError(f"check_proof_chain expects n >= 1, got {n}")
+    _require_in_domain("proof-chain", n)
     row_lcm = lcm_binom_row_direct(n - 1)
     row_max = binomial(n - 1, (n - 1) // 2)
     range_lcm = factored_value(lcm_range_factored(n))
@@ -217,8 +228,7 @@ def check_proof_chain(n: int) -> CheckReport:
 
 def check_hanson(n: int) -> CheckReport:
     """lcm(1..n) <= 3**n, compared as exact integers."""
-    if n < 1:
-        raise DomainError(f"check_hanson expects n >= 1, got {n}")
+    _require_in_domain("hanson", n)
     range_lcm = factored_value(lcm_range_factored(n))
     ceiling = 3**n
     witness = None
@@ -260,8 +270,10 @@ def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> Ran
     """Run one named check on every input in [lo, hi] and summarize it.
 
     Workers get contiguous ascending chunks, concatenated in chunk order, so
-    the summary never depends on worker count or scheduling. The process
-    pool is imported only when one starts.
+    the summary never depends on worker count or scheduling. A range below
+    the check's domain is rejected at lo before any input runs, so the error
+    is also the same at every worker count. The process pool is imported
+    only when one starts.
     """
     if check not in CHECKS:
         raise UnknownCheckError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
@@ -269,6 +281,7 @@ def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> Ran
         raise DomainError(f"empty range: from={lo} > to={hi}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    _require_in_domain(check, lo)
     started = time.perf_counter()
     total = hi - lo + 1
     workers = min(workers, total, MAX_WORKERS)

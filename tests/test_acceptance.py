@@ -6,7 +6,6 @@ psi ratio (an explicit wide-tolerance diagnostic) and the wall-clock
 performance gates of criterion 7.
 """
 
-import dataclasses
 import functools
 import json
 import os
@@ -196,7 +195,7 @@ def test_criterion_7_fast_path_performance_cold():
 def test_criterion_8_worker_determinism():
     summaries = [_theorem1_sweep_one_worker()]
     summaries += [verify_range_detailed("theorem1", 0, 2000, workers=w) for w in (4, 8)]
-    normalized = {dataclasses.replace(s, elapsed=0.0) for s in summaries}
+    normalized = {s._replace(elapsed=0.0) for s in summaries}
     ok = len(normalized) == 1 and summaries[0].failures == 0
     _report(
         "criterion 8: identical sweep content for workers in {1, 4, 8}",

@@ -22,6 +22,15 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def run_python(script):
+    """Last stdout line of script, run in a fresh interpreter on this checkout."""
+    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, check=True)
+    return done.stdout.splitlines()[-1]
+
+
 def parse_records(out):
     lines = [line for line in out.splitlines() if line.strip()]
     records = [json.loads(line) for line in lines]
@@ -247,11 +256,25 @@ def test_in_process_sweep_never_imports_the_process_pool():
         "code = main(['verify', 'eq4', '--from', '1', '--to', '8', '--jobs', '1'])\n"
         "print(code, 'concurrent.futures.process' in sys.modules)\n"
     )
-    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    assert done.stdout.splitlines()[-1] == "0 False"
+    assert run_python(script) == "0 False"
+
+
+def test_import_leaves_dataclasses_and_inspect_unloaded():
+    script = (
+        "import sys\n"
+        "import binomlcm.cli\n"
+        "print('dataclasses' in sys.modules, 'inspect' in sys.modules)\n"
+    )
+    assert run_python(script) == "False False"
+
+
+@pytest.mark.parametrize("check, lo", [("eq4", "0"), ("theorem1", "-1")])
+def test_out_of_domain_sweep_exits_2_alike_at_every_jobs(capsys, pools, check, lo):
+    results = {run_cli(capsys, "verify", check, "--from", lo, "--to", "300000", "--jobs", jobs)
+               for jobs in ("1", "2")}
+    lowest = verify._LOWEST[check]
+    assert results == {(2, "", f"error: check {check} expects inputs >= {lowest}, got {lo}\n")}
+    assert pools == []
 
 
 def test_sieve_ceiling_is_a_usage_error(capsys):

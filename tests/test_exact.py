@@ -19,9 +19,9 @@ from binomlcm import (
     lcm_binom_row_identity,
     lcm_range_factored,
     primes_upto,
-    validate_factored,
 )
 from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT
+from factored_maps import validate_factored
 
 # ---------------------------------------------------------------- oracles
 

@@ -15,7 +15,6 @@ from binomlcm import (
     primes_upto,
     row_max_vp,
     row_max_vp_bruteforce,
-    validate_factored,
     vp,
     vp_binomial_kummer,
     vp_binomial_legendre,
@@ -24,6 +23,7 @@ from binomlcm import (
     vp_successor_formula,
 )
 from binomlcm.identities import _SCAN_BLOCK, _digit_span
+from factored_maps import validate_factored
 
 PRIMES_50 = primes_upto(50)
 

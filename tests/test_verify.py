@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -178,14 +177,14 @@ def test_verify_range_counts_and_summary():
 
 def test_verify_range_is_worker_independent(monkeypatch):
     results = [verify_range_detailed("theorem1", 0, 60, workers) for workers in (1, 2, 3)]
-    normalized = {dataclasses.replace(s, elapsed=0.0) for s in results}
+    normalized = {s._replace(elapsed=0.0) for s in results}
     assert len(normalized) == 1
 
     real = verify.lcm_binom_row_direct
     monkeypatch.setattr(verify, "lcm_binom_row_direct",
                         lambda k: 999 if k in (3, 17, 18, 40) else real(k))
     results = [verify_range_detailed("theorem1", 0, 45, workers) for workers in (1, 2, 3)]
-    normalized = {dataclasses.replace(s, elapsed=0.0) for s in results}
+    normalized = {s._replace(elapsed=0.0) for s in results}
     (summary,) = normalized
     assert summary.failing == (3, 17, 18, 40)
     assert summary.first_witness == verify.check_theorem1(3).witness
@@ -222,30 +221,7 @@ def test_failure_reports_carry_witness(monkeypatch):
     assert summary.first_witness == report.witness
 
 
-def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatch):
-    import concurrent.futures
-
-    pools = []
-
-    class InlinePool:
-        """Stands in for the process pool: records its plan, runs in-process."""
-
-        def __init__(self, max_workers):
-            self.tasks = []
-            pools.append((max_workers, self.tasks))
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, checks, starts, ends):
-            self.tasks.extend(zip(starts, ends))
-            return [fn(check, lo, hi) for check, (lo, hi) in zip(checks, self.tasks)]
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
-
+def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(pools):
     summary = verify_range_detailed("lower-bound", 1, 32, workers=2)
     assert pools[-1] == (2, [(a, a + 1) for a in range(1, 33, 2)])
     assert summary.total == 32 and summary.failures == 0
@@ -263,6 +239,22 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(monkeypatc
     assert pools[-1][0] == verify.MAX_WORKERS == 61
 
 
+@pytest.mark.parametrize("check, lo, hi", [("eq4", 0, 300000), ("theorem1", -1, 50)])
+def test_pooled_sweep_rejects_out_of_domain_range_before_any_pool(pools, check, lo, hi):
+    lowest = verify._LOWEST[check]
+    with pytest.raises(DomainError, match=f"check {check} expects inputs >= {lowest}, got {lo}"):
+        verify_range_detailed(check, lo, hi, workers=2)
+    assert pools == []
+
+
+def test_domain_table_names_every_check_and_its_smallest_input():
+    assert set(verify._LOWEST) == set(verify.CHECKS)
+    for check, lowest in verify._LOWEST.items():
+        assert verify.CHECKS[check](lowest).passed
+        with pytest.raises(DomainError):
+            verify.CHECKS[check](lowest - 1)
+
+
 def test_passed_reports_have_no_witness():
     for k in range(0, 30):
         report = check_theorem1(k)
@@ -270,7 +262,7 @@ def test_passed_reports_have_no_witness():
 
 
 def test_check_report_is_both_sides_and_the_witness():
-    assert [field.name for field in dataclasses.fields(verify.CheckReport)] == ["lhs", "rhs", "witness"]
+    assert verify.CheckReport._fields == ("lhs", "rhs", "witness")
     assert verify.CheckReport(0, 1, "w").passed is False
     assert verify.CheckReport(1, 1, None).passed is True
     report = verify.CheckReport(0, 1, "w")
@@ -279,9 +271,9 @@ def test_check_report_is_both_sides_and_the_witness():
 
 
 def test_range_summary_stores_failing_inputs_once():
-    assert [field.name for field in dataclasses.fields(verify.RangeSummary)] == [
+    assert verify.RangeSummary._fields == (
         "check_name", "lo", "hi", "failing", "first_witness", "elapsed",
-    ]
+    )
     summary = verify.RangeSummary("eq4", 3, 12, (4, 7, 11), "w4", 0.5)
     assert (summary.total, summary.failures, summary.first_failure) == (10, 3, 4)
     clean = verify.RangeSummary("eq4", 3, 3, (), None, 0.5)
@@ -289,3 +281,10 @@ def test_range_summary_stores_failing_inputs_once():
     with pytest.raises(AttributeError):
         clean.total = 2
 
+
+def test_row_max_result_is_the_maximum_and_its_index():
+    assert identities.RowMaxResult._fields == ("max_valuation", "attained_at")
+    result = identities.row_max_vp(5, 2)
+    assert result == identities.RowMaxResult(max_valuation=1, attained_at=3)
+    with pytest.raises(AttributeError):
+        result.max_valuation = 2
