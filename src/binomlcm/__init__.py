@@ -8,54 +8,11 @@ verification harness plus CLI that sweep the identities and the classical
 2^(n-1) <= lcm(1..n) <= 3^n bounds.
 """
 
-from .errors import (
-    DomainError,
-    InternalInvariantError,
-    NotPrimeError,
-    UnknownCheckError,
-)
-from .exact import (
-    binomial,
-    binomial_row,
-    factored_decimal,
-    factored_value,
-    is_prime,
-    primes_upto,
-    require_prime,
-)
-from .identities import (
-    RowMaxResult,
-    lcm_binom_row_direct,
-    lcm_binom_row_identity,
-    lcm_range_factored,
-    row_max_vp,
-    row_max_vp_bruteforce,
-    vp_lcm_range,
-    vp_row_lcm_formula,
-    vp_successor_formula,
-)
-from .padic import (
-    expand,
-    vp,
-    vp_binomial_kummer,
-    vp_binomial_legendre,
-    vp_factorial,
-)
-from .verify import (
-    CHECKS,
-    CheckReport,
-    RangeSummary,
-    check_eq3,
-    check_eq4,
-    check_eq5,
-    check_hanson,
-    check_lower_bound,
-    check_proof_chain,
-    check_prop1,
-    check_theorem1,
-    prop1_at,
-    psi_ratio,
-    verify_range_detailed,
-)
+# Each module's __all__ is its one list of public names; republish them.
+from .errors import *
+from .exact import *
+from .identities import *
+from .padic import *
+from .verify import *
 
 __version__ = "0.1.0"

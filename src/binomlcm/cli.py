@@ -31,12 +31,12 @@ from .verify import CHECKS, prop1_at, psi_ratio, verify_range_detailed
 __all__ = ["main", "build_parser"]
 
 
-def _emit(args: argparse.Namespace, op: str, inputs: dict[str, Any], output: Any,
+def _emit(args: argparse.Namespace, inputs: dict[str, Any], output: Any,
           ok: bool, human: list[str]) -> None:
-    """Print one result: a single JSON record in machine mode, plain lines otherwise."""
+    """Print one result: a JSON record whose op is the subcommand, or plain lines."""
     if args.json:
         record = {
-            "op": op,
+            "op": args.command,
             "input": {key: str(value) for key, value in inputs.items()},
             "output": output,
             "ok": ok,
@@ -72,26 +72,28 @@ def _factored_result(args: argparse.Namespace, label: str,
 
 def _cmd_vp(args: argparse.Namespace) -> int:
     value = vp(args.n, args.p)
-    _emit(args, "vp", {"n": args.n, "p": args.p}, str(value), True, [str(value)])
+    _emit(args, {"n": args.n, "p": args.p}, str(value), True, [str(value)])
     return 0
 
 
+_VP_BINOM_METHODS = {
+    "kummer": vp_binomial_kummer,
+    "legendre": vp_binomial_legendre,
+    "direct": lambda n, k, p: vp(binomial(n, k), p),
+}
+
+
 def _cmd_vp_binom(args: argparse.Namespace) -> int:
-    if args.method == "kummer":
-        value = vp_binomial_kummer(args.n, args.k, args.p)
-    elif args.method == "legendre":
-        value = vp_binomial_legendre(args.n, args.k, args.p)
-    else:
-        value = vp(binomial(args.n, args.k), args.p)
+    value = _VP_BINOM_METHODS[args.method](args.n, args.k, args.p)
     inputs = {"n": args.n, "k": args.k, "p": args.p, "method": args.method}
-    _emit(args, "vp-binom", inputs, str(value), True, [str(value)])
+    _emit(args, inputs, str(value), True, [str(value)])
     return 0
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
     digits = list(expand(args.k, args.p))
     human = [f"{args.k} in base {args.p}: {digits} (least significant first)"]
-    _emit(args, "digits", {"k": args.k, "p": args.p}, digits, True, human)
+    _emit(args, {"k": args.k, "p": args.p}, digits, True, human)
     return 0
 
 
@@ -111,24 +113,23 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
         output["oracle"] = report.rhs
         ok = report.passed
         human.append(f"row scan oracle: {report.rhs} ({'agrees' if ok else 'DISAGREES'})")
-    _emit(args, "row-max", {"k": args.k, "p": args.p}, output, ok, human)
+    _emit(args, {"k": args.k, "p": args.p}, output, ok, human)
     return 0 if ok else 1
 
 
 def _cmd_lcm_range(args: argparse.Namespace) -> int:
     output, human = _factored_result(args, f"lcm(1..{args.n})", lcm_range_factored(args.n))
-    _emit(args, "lcm-range", {"n": args.n}, output, True, human)
+    _emit(args, {"n": args.n}, output, True, human)
     return 0
 
 
 def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
-    inputs = {"k": args.k, "method": args.method}
     if args.method == "identity":
         output, human = _factored_result(args, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
     else:
         output = {"value": str(lcm_binom_row_direct(args.k))}
         human = [f"lcm of row {args.k} = {output['value']}"]
-    _emit(args, "lcm-binom-row", inputs, output, True, human)
+    _emit(args, {"k": args.k, "method": args.method}, output, True, human)
     return 0
 
 
@@ -159,13 +160,13 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         human.append(f"failing inputs: {shown}{more}")
         human.append(f"first witness: {summary.first_witness}")
     ok = summary.failures == 0
-    _emit(args, "verify", {"check": args.check, "from": args.lo, "to": args.hi}, output, ok, human)
+    _emit(args, {"check": args.check, "from": args.lo, "to": args.hi}, output, ok, human)
     return 0 if ok else 1
 
 
 def _cmd_psi_ratio(args: argparse.Namespace) -> int:
     ratio = psi_ratio(args.n)
-    _emit(args, "psi-ratio", {"n": args.n}, ratio, True, [str(ratio)])
+    _emit(args, {"n": args.n}, ratio, True, [str(ratio)])
     return 0
 
 
@@ -188,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("n", type=int)
     p.add_argument("k", type=int)
     p.add_argument("p", type=int)
-    p.add_argument("--method", choices=["kummer", "legendre", "direct"], default="kummer")
+    p.add_argument("--method", choices=list(_VP_BINOM_METHODS), default="kummer")
     p.set_defaults(handler=_cmd_vp_binom)
 
     p = sub.add_parser("digits", parents=[common], help="base-p digits of k, least significant first")

@@ -1,9 +1,11 @@
 """Exception types raised by the library."""
 
+__all__ = ["DomainError", "NotPrimeError", "UnknownCheckError", "InternalInvariantError"]
+
 
 class DomainError(ValueError):
-    """An argument fell outside the operation's domain (e.g. k > n, a zero
-    lcm operand, an empty range, a sieve bound above the ceiling)."""
+    """An argument fell outside the operation's domain (e.g. k > n, vp of
+    n < 1, an empty range, a sieve bound above the ceiling)."""
 
 
 class NotPrimeError(ValueError):

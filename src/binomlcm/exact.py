@@ -99,11 +99,11 @@ def _is_prime_cached(n: int) -> bool:
     return is_prime(n)
 
 
-def require_prime(p: int, name: str = "p") -> None:
+def require_prime(p: int) -> None:
     """Raise NotPrimeError unless p is prime. Verdicts are cached, so hot
     sweeps pay the primality test once per distinct prime."""
     if not _is_prime_cached(p):
-        raise NotPrimeError(f"{name} must be prime, got {p}")
+        raise NotPrimeError(f"p must be prime, got {p}")
 
 
 # Prime powers per leaf of the product tree: few enough Python objects for

@@ -1,13 +1,14 @@
 """Test helper: the invariants every factored map the package returns keeps."""
 
-from binomlcm import DomainError, require_prime
+from binomlcm import DomainError, NotPrimeError, is_prime
 
 
 def validate_factored(factors):
     """Check factored-map invariants: ascending prime keys, exponents >= 1."""
     previous = 1
     for p, e in factors.items():
-        require_prime(p, name="factor key")
+        if not is_prime(p):
+            raise NotPrimeError(f"factor key must be prime, got {p}")
         if e < 1:
             raise DomainError(f"exponent of prime {p} must be >= 1, got {e}")
         if p <= previous:

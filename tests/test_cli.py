@@ -334,3 +334,31 @@ def test_json_mode_builds_no_human_text(capsys, monkeypatch, command):
     assert code == 0
     (record,) = parse_records(out)
     assert record["output"]["factors"][0][0] == 2
+
+
+# Each subcommand: a small valid argv after its name, and its record's input keys.
+OP_CASES = {
+    "vp": (["12", "2"], {"n", "p"}),
+    "vp-binom": (["5", "2", "2"], {"n", "k", "p", "method"}),
+    "digits": (["5", "2"], {"k", "p"}),
+    "row-max": (["20", "3"], {"k", "p"}),
+    "lcm-range": (["10"], {"n"}),
+    "lcm-binom-row": (["10"], {"k", "method"}),
+    "verify": (["eq4", "--from", "1", "--to", "5", "--jobs", "1"], {"check", "from", "to"}),
+    "psi-ratio": (["10"], {"n"}),
+}
+
+
+@pytest.mark.parametrize("command", OP_CASES)
+def test_json_record_op_is_the_subcommand(capsys, command):
+    args, input_keys = OP_CASES[command]
+    code, out, _ = run_cli(capsys, command, *args, "--json")
+    assert code == 0
+    (record,) = parse_records(out)
+    assert record["op"] == command
+    assert set(record["input"]) == input_keys
+
+
+def test_op_cases_name_every_subcommand():
+    (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    assert set(sub.choices) == set(OP_CASES)

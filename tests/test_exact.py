@@ -64,7 +64,7 @@ def brute_lcm(values: list[int]) -> int:
 # -------------------------------------------------------------------- lcm
 
 
-def test_lcm_list_matches_multiple_scan():
+def test_row_fold_matches_multiple_scan():
     for k in range(21):
         assert lcm_binom_row_direct(k) == brute_lcm(list(binomial_row(k))), k
 
