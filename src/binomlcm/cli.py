@@ -230,11 +230,20 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Exact decimal output is the point; lift the interpreter's int->str cap.
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(0)
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Exact decimal output is the point: lift the interpreter's int->str cap
+    # for this call, and give an in-process caller back the cap it had.
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _run(argv)
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _run(argv)
+    finally:
+        sys.set_int_max_str_digits(found)
+
+
+def _run(argv: list[str] | None) -> int:
+    args = build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ValueError as exc:

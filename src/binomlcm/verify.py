@@ -101,6 +101,15 @@ def _require_in_domain(check: str, n: int) -> None:
         raise DomainError(f"check {check} expects inputs >= {_LOWEST[check]}, got {n}")
 
 
+def _int_text(n: int) -> str:
+    """str(n) for a witness, at any size: Decimal's text is the int's, but
+    is not bound by the interpreter's int->str digit limit. Imported only
+    when a check fails."""
+    from decimal import Decimal
+
+    return str(Decimal(n))
+
+
 def _at_each_prime(k: int, at: Callable[[int, int], CheckReport]) -> CheckReport:
     """One per-prime comparison at every prime up to the sweep bound, merged
     into prime -> side maps; the witness is that of the smallest failing
@@ -117,7 +126,7 @@ def check_theorem1(k: int) -> CheckReport:
     direct = lcm_binom_row_direct(k)
     witness = None
     if identity != direct:
-        witness = f"k={k}: identity path {identity} != direct fold {direct}"
+        witness = f"k={k}: identity path {_int_text(identity)} != direct fold {_int_text(direct)}"
     return CheckReport(identity, direct, witness)
 
 
@@ -156,7 +165,7 @@ def check_eq3(n: int) -> CheckReport:
                   for p, e in formula.items() if e != direct[p])
     witness = next(mismatches, None)
     if witness is None and (value := factored_value(formula)) != fold:
-        witness = f"n={n}: power-fit map value {value} != fold lcm {fold}"
+        witness = f"n={n}: power-fit map value {_int_text(value)} != fold lcm {_int_text(fold)}"
     return CheckReport(formula, direct, witness)
 
 
@@ -202,7 +211,7 @@ def check_lower_bound(n: int) -> CheckReport:
     floor = 1 << (n - 1)
     witness = None
     if range_lcm < floor:
-        witness = f"n={n}: lcm(1..n) = {range_lcm} < 2^(n-1) = {floor}"
+        witness = f"n={n}: lcm(1..n) = {_int_text(range_lcm)} < 2^(n-1) = {_int_text(floor)}"
     return CheckReport(range_lcm, floor, witness)
 
 
@@ -217,11 +226,11 @@ def check_proof_chain(n: int) -> CheckReport:
     floor = 1 << (n - 1)
     broken = []
     if range_lcm != n * row_lcm:
-        broken.append(f"lcm(1..n) = {range_lcm} != n * row lcm = {n * row_lcm}")
+        broken.append(f"lcm(1..n) = {_int_text(range_lcm)} != n * row lcm = {_int_text(n * row_lcm)}")
     if n * row_max < floor:
-        broken.append(f"n * row max = {n * row_max} < 2^(n-1) = {floor}")
+        broken.append(f"n * row max = {_int_text(n * row_max)} < 2^(n-1) = {_int_text(floor)}")
     if range_lcm < n * row_max:
-        broken.append(f"lcm(1..n) = {range_lcm} < n * row max = {n * row_max}")
+        broken.append(f"lcm(1..n) = {_int_text(range_lcm)} < n * row max = {_int_text(n * row_max)}")
     witness = "; ".join(broken) if broken else None
     return CheckReport(range_lcm, floor, witness)
 
@@ -233,7 +242,7 @@ def check_hanson(n: int) -> CheckReport:
     ceiling = 3**n
     witness = None
     if range_lcm > ceiling:
-        witness = f"n={n}: lcm(1..n) = {range_lcm} > 3^n = {ceiling}"
+        witness = f"n={n}: lcm(1..n) = {_int_text(range_lcm)} > 3^n = {_int_text(ceiling)}"
     return CheckReport(range_lcm, ceiling, witness)
 
 

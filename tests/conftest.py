@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -38,3 +40,17 @@ def pools(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
     return started
+
+
+@pytest.fixture
+def digit_limit():
+    """Holds CPython's default int<->str digit limit, 4300, for one test,
+    then restores the limit it found. Yields None, and holds nothing, on an
+    interpreter that has no limit."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield None
+        return
+    found = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield 4300
+    sys.set_int_max_str_digits(found)

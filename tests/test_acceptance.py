@@ -10,12 +10,8 @@ import functools
 import json
 import os
 import random
-import subprocess
-import sys
 import time
-from pathlib import Path
 
-import binomlcm
 from binomlcm import (
     RangeSummary,
     binomial,
@@ -29,6 +25,7 @@ from binomlcm import (
     vp_binomial_kummer,
     vp_binomial_legendre,
 )
+from fresh_python import run_python
 
 WORKERS = os.cpu_count() or 1
 PRIMES_50 = primes_upto(50)
@@ -163,11 +160,7 @@ def test_criterion_7_fast_path_performance():
 def _cold_identity(k: int) -> tuple[float, dict[int, int]]:
     """lcm_binom_row_identity(k) timed in a fresh interpreter, whose primality
     cache is empty; returns the seconds and the factored result."""
-    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", _COLD_IDENTITY, str(k)], env=env,
-                          capture_output=True, text=True, check=True, timeout=120)
-    record = json.loads(done.stdout)
+    record = json.loads(run_python(_COLD_IDENTITY, str(k)))
     return record["seconds"], dict(record["factors"])
 
 

@@ -1,12 +1,10 @@
 import json
 import os
-import subprocess
 import sys
-from pathlib import Path
+from decimal import Decimal
 
 import pytest
 
-import binomlcm
 import binomlcm.cli as cli
 import binomlcm.verify as verify
 from binomlcm import DomainError
@@ -14,21 +12,13 @@ from binomlcm.cli import main
 from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
+from fresh_python import run_python
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def run_python(script):
-    """Last stdout line of script, run in a fresh interpreter on this checkout."""
-    paths = [str(Path(binomlcm.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
-                          text=True, check=True)
-    return done.stdout.splitlines()[-1]
 
 
 def parse_records(out):
@@ -61,6 +51,20 @@ def test_vp_above_primality_limit_is_usage_error(capsys):
     code, out, err = run_cli(capsys, "vp", str(PRIMALITY_LIMIT**2), psi12)
     assert code == 2 and out == ""
     assert psi12 in err
+
+
+def test_main_restores_the_digit_limit_it_found(capsys, digit_limit):
+    if digit_limit is None:
+        pytest.skip("this interpreter has no digit limit")
+    run_cli(capsys, "vp", "12", "2")
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_main_reads_an_input_past_the_digit_limit(capsys, digit_limit):
+    # 4772 digits, read by main's own argparse under the caller's limit
+    code, out, _ = run_cli(capsys, "vp", str(Decimal(3**10000)), "3", "--json")
+    (record,) = parse_records(out)
+    assert code == 0 and record["output"] == "10000"
 
 
 def test_vp_binom_methods_agree(capsys):

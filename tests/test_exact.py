@@ -69,19 +69,6 @@ def test_row_fold_matches_multiple_scan():
         assert lcm_binom_row_direct(k) == brute_lcm(list(binomial_row(k))), k
 
 
-def test_huge_values_stay_exact():
-    # well past 100,000 decimal digits once multiplied out
-    x = 7**120000
-    y = 3**120000
-    assert math.gcd(x, y) == 1
-    combined = math.lcm(x, y)
-    assert combined == x * y
-    assert combined // x == y and combined % y == 0
-    assert combined > x > y
-    # anything above 332,193 bits exceeds 10^100000, i.e. 100,000 decimal digits
-    assert combined.bit_length() > 332193
-
-
 # --------------------------------------------------------------- binomial
 
 

@@ -167,17 +167,6 @@ def test_row_max_rejects_bad_input():
         row_max_vp(-1, 2)
 
 
-def test_row_max_formula_matches_scan_and_witness():
-    for k in range(201):
-        for p in (2, 3, 5, 7, 11, 13):
-            result = row_max_vp(k, p)
-            scanned = row_max_vp_bruteforce(k, p)
-            assert result.max_valuation == scanned
-            if result.attained_at is not None:
-                assert 0 <= result.attained_at <= k
-                assert vp_binomial_kummer(k, result.attained_at, p) == scanned
-
-
 # --------------------------------------------------------- range exponents
 
 
@@ -213,12 +202,6 @@ def test_vp_successor_examples():
     assert vp_successor_formula(4, 2) == 0
     with pytest.raises(DomainError):
         vp_successor_formula(0, 2)
-
-
-def test_vp_successor_matches_direct_valuation():
-    for k in range(1, 2001):
-        for p in PRIMES_50:
-            assert vp_successor_formula(k, p) == vp(k + 1, p)
 
 
 @given(st.integers(min_value=1, max_value=10**9), st.sampled_from(PRIMES_50))

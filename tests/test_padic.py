@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from binomlcm import (
     DomainError,
     NotPrimeError,
-    binomial,
     expand,
     primes_upto,
     vp,
@@ -151,14 +150,6 @@ def test_borrow_legendre_carry_agree_on_grid():
                 borrow = vp_binomial_kummer(n, k, p)
                 assert borrow == vp_binomial_legendre(n, k, p)
                 assert borrow == carries_when_adding(k, n - k, p)
-
-
-def test_borrow_count_matches_exact_binomial_valuation():
-    for n in range(121):
-        row = [binomial(n, k) for k in range(n + 1)]
-        for k, value in enumerate(row):
-            for p in PRIMES_50:
-                assert vp_binomial_kummer(n, k, p) == vp(value, p)
 
 
 @given(

@@ -1,4 +1,5 @@
 import math
+from decimal import Decimal
 
 import pytest
 
@@ -9,12 +10,9 @@ from binomlcm import (
     NotPrimeError,
     UnknownCheckError,
     check_eq3,
-    check_eq4,
-    check_eq5,
     check_hanson,
     check_lower_bound,
     check_proof_chain,
-    check_prop1,
     check_theorem1,
     prop1_at,
     psi_ratio,
@@ -50,26 +48,12 @@ def test_check_proof_chain_examples():
         check_proof_chain(0)
 
 
-def test_proof_chain_first_link_agrees_with_theorem1():
-    for n in range(1, 80):
-        assert check_proof_chain(n).passed == check_theorem1(n - 1).passed
-
-
 def test_check_hanson_examples():
     assert check_hanson(1).passed
     report = check_hanson(7)
     assert report.passed and report.lhs == 420 and report.rhs == 3**7
     report = check_hanson(10)
     assert report.passed and report.lhs == 2520 and report.rhs == 59049
-
-
-def test_grid_checks_pass_on_small_inputs():
-    for k in range(0, 40):
-        assert check_prop1(k).passed
-    for n in range(1, 40):
-        assert check_eq3(n).passed
-        assert check_eq4(n).passed
-        assert check_eq5(n).passed
 
 
 def test_eq3_sides_stop_at_n():
@@ -85,10 +69,21 @@ def test_prop1_at_compares_formula_with_scan():
         prop1_at(5, 4)
 
 
+# 10**4999 as an int, as a factored map and as text: 5000 digits, past
+# CPython's default int->str limit of 4300.
+HUGE = 10**4999
+HUGE_MAP = {2: 4999, 5: 4999}
+HUGE_TEXT = "1" + "0" * 4999
+
 # check, the verify name one side looks up, a fake of it built from the real
 # function, the swept range, and the failing inputs and first witness the
-# sweep must report.
+# sweep must report. Each sweep runs under the default digit limit, so a
+# 5000-digit side shows that a failure stays data at any size.
 BROKEN_SIDES = [
+    pytest.param("theorem1", "lcm_binom_row_direct",
+        lambda real: lambda k: 999 if k in (5, 9) else real(k),
+        (0, 12), (5, 9), "k=5: identity path 10 != direct fold 999",
+        id="theorem1"),
     pytest.param("prop1", "row_max_vp_bruteforce",
         lambda real: lambda k, p: real(k, p) + (k in (6, 9) and p in (3, 5)),
         (0, 12), (6, 9), "p=3: digit formula 1 != row scan 2",
@@ -129,11 +124,32 @@ BROKEN_SIDES = [
         lambda real: lambda n: {2: 2 * n} if n in (4, 6) else real(n),
         (1, 12), (4, 6), "n=4: lcm(1..n) = 256 > 3^n = 81",
         id="hanson"),
+    pytest.param("theorem1", "lcm_binom_row_direct",
+        lambda real: lambda k: HUGE if k == 5 else real(k),
+        (0, 8), (5,), f"k=5: identity path 10 != direct fold {HUGE_TEXT}",
+        id="theorem1-5000-digits"),
+    pytest.param("eq3", "factored_value",
+        lambda real: lambda f: HUGE if f == {2: 2, 3: 1, 5: 1, 7: 1} else real(f),
+        (1, 8), (7,), f"n=7: power-fit map value {HUGE_TEXT} != fold lcm 420",
+        id="eq3-5000-digits"),
+    pytest.param("lower-bound", "lcm_range_factored",
+        lambda real: lambda n: {} if n == 16610 else real(n),
+        (16609, 16611), (16610,), f"n=16610: lcm(1..n) = 1 < 2^(n-1) = {Decimal(1 << 16609)}",
+        id="lower-bound-5000-digits"),
+    pytest.param("proof-chain", "lcm_range_factored",
+        lambda real: lambda n: HUGE_MAP if n == 5 else real(n),
+        (1, 8), (5,), f"lcm(1..n) = {HUGE_TEXT} != n * row lcm = 60",
+        id="proof-chain-5000-digits"),
+    pytest.param("hanson", "lcm_range_factored",
+        lambda real: lambda n: HUGE_MAP if n == 4 else real(n),
+        (1, 8), (4,), f"n=4: lcm(1..n) = {HUGE_TEXT} > 3^n = 81",
+        id="hanson-5000-digits"),
 ]
 
 
 @pytest.mark.parametrize("check, name, fake, bounds, failing, witness", BROKEN_SIDES)
-def test_broken_side_fails_the_sweep(monkeypatch, check, name, fake, bounds, failing, witness):
+def test_broken_side_fails_the_sweep(monkeypatch, digit_limit, check, name, fake, bounds,
+                                    failing, witness):
     monkeypatch.setattr(verify, name, fake(getattr(verify, name)))
     summary = verify_range_detailed(check, *bounds, workers=1)
     assert summary.failing == failing
@@ -201,26 +217,6 @@ def test_verify_range_domain_errors():
         verify_range_detailed("lower-bound", 0, 3, workers=1)
 
 
-def test_failure_reports_carry_witness(monkeypatch):
-    real = verify.lcm_binom_row_direct
-
-    def broken(k):
-        return 999 if k in (5, 9) else real(k)
-
-    monkeypatch.setattr(verify, "lcm_binom_row_direct", broken)
-
-    report = verify.check_theorem1(5)
-    assert not report.passed
-    assert report.witness is not None and "999" in report.witness
-    assert verify.check_theorem1(4).passed
-
-    summary = verify_range_detailed("theorem1", 0, 12, workers=1)
-    assert summary.failing == (5, 9)
-    assert summary.failures == 2
-    assert summary.first_failure == 5
-    assert summary.first_witness == report.witness
-
-
 def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(pools):
     summary = verify_range_detailed("lower-bound", 1, 32, workers=2)
     assert pools[-1] == (2, [(a, a + 1) for a in range(1, 33, 2)])
@@ -253,12 +249,6 @@ def test_domain_table_names_every_check_and_its_smallest_input():
         assert verify.CHECKS[check](lowest).passed
         with pytest.raises(DomainError):
             verify.CHECKS[check](lowest - 1)
-
-
-def test_passed_reports_have_no_witness():
-    for k in range(0, 30):
-        report = check_theorem1(k)
-        assert report.passed and report.witness is None
 
 
 def test_check_report_is_both_sides_and_the_witness():
