@@ -122,11 +122,17 @@ _DECIMAL_LEAF_BITS = 1 << 13
 def _multiply_out(factors: Mapping[int, int], leaf: Callable[[int], Any]) -> Any:
     """Product of a prime -> exponent map as a balanced tree: the prime
     powers are multiplied in blocks of _BLOCK, each block product becomes a
-    leaf, and the leaves are multiplied pairwise until one is left."""
+    leaf, and the leaves are multiplied pairwise until one is left. A
+    negative or non-integer exponent makes its block product a non-int and
+    raises DomainError."""
     pairs = iter(factors.items())
     level = []
     while block := list(islice(pairs, _BLOCK)):
-        level.append(leaf(math.prod(p**e for p, e in block)))
+        product = math.prod(p**e for p, e in block)
+        if type(product) is not int:
+            p, e = next((p, e) for p, e in block if type(p**e) is not int)
+            raise DomainError(f"factored maps take non-negative integer exponents, got {p}**{e}")
+        level.append(leaf(product))
     if not level:
         return leaf(1)
     while len(level) > 1:
@@ -145,7 +151,8 @@ def _to_decimal(n: int) -> Decimal:
 
 
 def factored_value(factors: Mapping[int, int]) -> int:
-    """Multiply out a prime -> exponent map; the empty map is 1."""
+    """Multiply out a prime -> exponent map; the empty map is 1. Exponents
+    must be non-negative integers (DomainError otherwise)."""
     return _multiply_out(factors, int)
 
 

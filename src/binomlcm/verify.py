@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import time
+from decimal import Decimal
 from itertools import repeat
 from typing import Callable, NamedTuple, Union
 
@@ -103,10 +104,7 @@ def _require_in_domain(check: str, n: int) -> None:
 
 def _int_text(n: int) -> str:
     """str(n) for a witness, at any size: Decimal's text is the int's, but
-    is not bound by the interpreter's int->str digit limit. Imported only
-    when a check fails."""
-    from decimal import Decimal
-
+    is not bound by the interpreter's int->str digit limit."""
     return str(Decimal(n))
 
 

@@ -138,10 +138,6 @@ def test_lcm_range_outputs(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["lcm-binom-row", "0"],
-    ["lcm-binom-row", "1"],
-    ["lcm-binom-row", "10"],
-    ["lcm-binom-row", "720719"],
     ["lcm-range", "1"],
     ["lcm-range", "10"],
     ["lcm-range", "1000"],
@@ -288,12 +284,9 @@ def test_sieve_ceiling_is_a_usage_error(capsys):
 
 
 def test_verify_unknown_check_is_usage_error(capsys):
-    # `bench` is gone too: perfbench/run.py times the fast path.
-    for argv in (["verify", "bogus", "--from", "0", "--to", "1"],
-                 ["bench", "row-lcm", "--sizes", "5"]):
-        with pytest.raises(SystemExit) as excinfo:
-            main(argv)
-        assert excinfo.value.code == 2
+    with pytest.raises(SystemExit) as excinfo:
+        main(["verify", "bogus", "--from", "0", "--to", "1"])
+    assert excinfo.value.code == 2
 
 
 def test_psi_ratio_output(capsys):
@@ -304,15 +297,6 @@ def test_psi_ratio_output(capsys):
     code, out, _ = run_cli(capsys, "psi-ratio", "10", "--json")
     (record,) = parse_records(out)
     assert abs(record["output"] - 0.7832014180505469) < 1e-12
-
-
-def test_human_and_json_numeric_parity(capsys):
-    _, human, _ = run_cli(capsys, "lcm-binom-row", "12", "--method", "identity", "--value")
-    _, machine, _ = run_cli(capsys, "lcm-binom-row", "12", "--method", "identity", "--value", "--json")
-    (record,) = parse_records(machine)
-    assert record["output"]["value"] in human
-    for p, e in record["output"]["factors"]:
-        assert str(p) in human
 
 
 @pytest.mark.parametrize("command, size, factored", [
