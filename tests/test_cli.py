@@ -138,6 +138,10 @@ def test_lcm_range_outputs(capsys):
 
 
 @pytest.mark.parametrize("argv", [
+    ["lcm-binom-row", "0"],
+    ["lcm-binom-row", "1"],
+    ["lcm-binom-row", "10"],
+    ["lcm-binom-row", "720719"],
     ["lcm-range", "1"],
     ["lcm-range", "10"],
     ["lcm-range", "1000"],
