@@ -232,23 +232,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     # Exact decimal output is the point: lift the interpreter's int->str cap
     # for this call, and give an in-process caller back the cap it had.
-    if not hasattr(sys, "set_int_max_str_digits"):
-        return _run(argv)
     found = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return _run(argv)
-    finally:
-        sys.set_int_max_str_digits(found)
-
-
-def _run(argv: list[str] | None) -> int:
-    args = build_parser().parse_args(argv)
-    try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        sys.set_int_max_str_digits(found)
 
 
 if __name__ == "__main__":

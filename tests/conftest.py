@@ -45,11 +45,7 @@ def pools(monkeypatch):
 @pytest.fixture
 def digit_limit():
     """Holds CPython's default int<->str digit limit, 4300, for one test,
-    then restores the limit it found. Yields None, and holds nothing, on an
-    interpreter that has no limit."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield None
-        return
+    then restores the limit it found."""
     found = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(4300)
     yield 4300

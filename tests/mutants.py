@@ -1,0 +1,112 @@
+"""Mutation runner: every mutant in MUTANTS must make its killing test fail.
+
+Run from anywhere, with pytest installed:
+
+    python tests/mutants.py
+
+For each mutant the runner copies src/, tests/ and pyproject.toml into a
+temporary directory and runs the killing test there unmutated, which must
+pass. It then replaces the one occurrence of the old text with the new text
+and runs the killing test again. Only pytest's exit code 1 (a test failed)
+counts as a kill. Any other exit code, such as 4 or 5 for a node id that
+names no test, fails the runner as a surviving mutant does. The runner exits
+0 when every mutant is killed and 1 otherwise.
+
+Mutation testing follows DeMillo, Lipton and Sayward, "Hints on test data
+selection", IEEE Computer 11(4), 1978. This file uses the standard library
+only; tier-1 does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# id, file, old text (must occur exactly once), new text, killing test node id
+MUTANTS = [
+    ("shared-kernel", "src/binomlcm/identities.py",
+     "    return reduce(math.lcm, binomial_row(k))\n",
+     "    from .exact import factored_value\n"
+     "    return factored_value(lcm_binom_row_identity(k))\n",
+     "tests/test_verify.py::test_side_reaches_no_forbidden_kernel[theorem1-fold]"),
+    ("range-map-descending", "src/binomlcm/identities.py",
+     "for p in primes_upto(n)}",
+     "for p in reversed(primes_upto(n))}",
+     "tests/test_identities.py::test_lcm_range_factored_monotone"),
+    ("row-map-keeps-zero-exponents", "src/binomlcm/identities.py",
+     "        if exponent:\n            factors[p] = exponent\n        else:\n            del factors[p]\n",
+     "        factors[p] = exponent\n",
+     "tests/test_identities.py::test_row_identity_examples"),
+    ("range-exponent-misses-exact-power", "src/binomlcm/identities.py",
+     "while power <= n:",
+     "while power < n:",
+     "tests/test_identities.py::test_vp_lcm_range_examples"),
+    ("cli-caret", "src/binomlcm/cli.py",
+     'f"{p}^{e}"',
+     'f"{p}**{e}"',
+     "tests/test_cli.py::test_cli_contract[lcm-range-value]"),
+    ("cli-digit-limit-not-restored", "src/binomlcm/cli.py",
+     "    finally:\n        sys.set_int_max_str_digits(found)\n",
+     "    finally:\n        pass\n",
+     "tests/test_cli.py::test_cli_contract[vp]"),
+    ("cli-input-not-stringified", "src/binomlcm/cli.py",
+     '"input": {key: str(value) for key, value in inputs.items()},',
+     '"input": inputs,',
+     "tests/test_cli.py::test_cli_contract[vp-json]"),
+    ("cli-error-to-stdout", "src/binomlcm/cli.py",
+     'print(f"error: {exc}", file=sys.stderr)',
+     'print(f"error: {exc}")',
+     "tests/test_cli.py::test_cli_contract[vp-composite-p]"),
+]
+
+
+def _pytest(tree: Path, node: str) -> int:
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node]
+    return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def run_mutant(file: str, old: str, new: str, node: str) -> str:
+    """Verdict on one mutant: "killed", or why it counts as not killed."""
+    with tempfile.TemporaryDirectory(prefix="binomlcm-mutant-") as temp:
+        tree = Path(temp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, tree / name,
+                            ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
+        code = _pytest(tree, node)
+        if code != 0:
+            return f"killing test exits {code} unmutated"
+        target = tree / file
+        text = target.read_text()
+        if text.count(old) != 1:
+            return f"old text occurs {text.count(old)} times in {file}"
+        target.write_text(text.replace(old, new))
+        code = _pytest(tree, node)
+        if code == 1:
+            return "killed"
+        return "survived" if code == 0 else f"pytest exits {code} on the mutant"
+
+
+def main() -> int:
+    start = time.perf_counter()
+    killed = 0
+    for mutant_id, file, old, new, node in MUTANTS:
+        began = time.perf_counter()
+        verdict = run_mutant(file, old, new, node)
+        killed += verdict == "killed"
+        print(f"{mutant_id}: {verdict} ({node}, {time.perf_counter() - began:.1f} s)")
+    print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
+    return 0 if killed == len(MUTANTS) else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

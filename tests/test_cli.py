@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import sys
 from decimal import Decimal
 
@@ -7,7 +8,6 @@ import pytest
 
 import binomlcm.cli as cli
 import binomlcm.verify as verify
-from binomlcm import DomainError
 from binomlcm.cli import main
 from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
@@ -29,78 +29,97 @@ def parse_records(out):
     return records
 
 
-def test_vp_human_and_json_agree(capsys):
-    code, out, _ = run_cli(capsys, "vp", "12", "2")
-    assert code == 0 and out.strip() == "2"
+# The CLI's contract, one row per argv: id, argv, and the exact exit code,
+# stdout and stderr of main, with verify's elapsed time masked as *. Every
+# error row is a ValueError: exit 2, no stdout and one "error: <message>" line
+# on stderr. The readme-* rows, vp, digits and lcm-range-value are the
+# examples of README.md's CLI block.
+CONTRACT = [
+    ("vp", "vp 12 2", 0, "2\n", ""),
+    ("vp-json", "vp 12 2 --json", 0,
+     '{"op": "vp", "input": {"n": "12", "p": "2"}, "output": "2", "ok": true}\n', ""),
+    ("vp-composite-p", "vp 12 9", 2, "", "error: p must be prime, got 9\n"),
+    ("vp-psi12", f"vp {PRIMALITY_LIMIT**2} {PRIMALITY_LIMIT}", 2, "",
+     f"error: primality is decided only below {PRIMALITY_LIMIT}, got {PRIMALITY_LIMIT}\n"),
+    # 4772 digits, read by main's own argparse under the caller's limit
+    ("vp-past-digit-limit", f"vp {Decimal(3**10000)} 3", 0, "10000\n", ""),
+    ("vp-binom-kummer", "vp-binom 5 2 2", 0, "1\n", ""),
+    ("readme-vp-binom-kummer", "vp-binom 5 2 2 --method kummer", 0, "1\n", ""),
+    ("vp-binom-legendre", "vp-binom 5 2 2 --method legendre", 0, "1\n", ""),
+    ("vp-binom-direct-json", "vp-binom 5 2 2 --method direct --json", 0,
+     '{"op": "vp-binom", "input": {"n": "5", "k": "2", "p": "2", "method": "direct"}, '
+     '"output": "1", "ok": true}\n', ""),
+    ("vp-binom-k-above-n", "vp-binom 3 5 2", 2, "",
+     "error: vp_binomial_kummer expects k <= n, got n=3, k=5\n"),
+    ("digits", "digits 5 2", 0, "5 in base 2: [1, 0, 1] (least significant first)\n", ""),
+    ("digits-json", "digits 5 2 --json", 0,
+     '{"op": "digits", "input": {"k": "5", "p": "2"}, "output": [1, 0, 1], "ok": true}\n', ""),
+    ("digits-zero-json", "digits 0 2 --json", 0,
+     '{"op": "digits", "input": {"k": "0", "p": "2"}, "output": [], "ok": true}\n', ""),
+    ("row-max-oracle", "row-max 5 2 --oracle --json", 0,
+     '{"op": "row-max", "input": {"k": "5", "p": "2"}, '
+     '"output": {"max_valuation": 1, "attained_at": "3", "oracle": 1}, "ok": true}\n', ""),
+    ("readme-row-max-oracle", "row-max 20 3 --oracle", 0,
+     "max v_3 over row 20: 1 (attained at index 8)\nrow scan oracle: 1 (agrees)\n", ""),
+    ("row-max-zero", "row-max 0 2 --json", 0,
+     '{"op": "row-max", "input": {"k": "0", "p": "2"}, '
+     '"output": {"max_valuation": 0, "attained_at": null}, "ok": true}\n', ""),
+    # the row scan over many blocks of indices, at a deep and a shallow prime
+    ("row-max-many-blocks-2", "row-max 999999 2 --oracle --json", 0,
+     '{"op": "row-max", "input": {"k": "999999", "p": "2"}, '
+     '"output": {"max_valuation": 13, "attained_at": "524287", "oracle": 13}, "ok": true}\n', ""),
+    ("row-max-many-blocks-47", "row-max 999999 47 --oracle --json", 0,
+     '{"op": "row-max", "input": {"k": "999999", "p": "47"}, '
+     '"output": {"max_valuation": 3, "attained_at": "103822", "oracle": 3}, "ok": true}\n', ""),
+    ("lcm-range-value", "lcm-range 10 --value", 0, "lcm(1..10) = 2^3 * 3^2 * 5 * 7 = 2520\n", ""),
+    ("lcm-range-value-json", "lcm-range 10 --value --json", 0,
+     '{"op": "lcm-range", "input": {"n": "10"}, '
+     '"output": {"factors": [[2, 3], [3, 2], [5, 1], [7, 1]], "value": "2520"}, "ok": true}\n', ""),
+    ("lcm-range-one-json", "lcm-range 1 --json", 0,
+     '{"op": "lcm-range", "input": {"n": "1"}, "output": {"factors": []}, "ok": true}\n', ""),
+    ("lcm-range-zero", "lcm-range 0", 2, "", "error: lcm_range_factored expects n >= 1, got 0\n"),
+    ("lcm-binom-row-zero-json", "lcm-binom-row 0 --json", 0,
+     '{"op": "lcm-binom-row", "input": {"k": "0", "method": "identity"}, '
+     '"output": {"factors": []}, "ok": true}\n', ""),
+    ("lcm-binom-row-one-json", "lcm-binom-row 1 --json", 0,
+     '{"op": "lcm-binom-row", "input": {"k": "1", "method": "identity"}, '
+     '"output": {"factors": []}, "ok": true}\n', ""),
+    ("lcm-binom-row-json", "lcm-binom-row 10 --json", 0,
+     '{"op": "lcm-binom-row", "input": {"k": "10", "method": "identity"}, '
+     '"output": {"factors": [[2, 3], [3, 2], [5, 1], [7, 1]]}, "ok": true}\n', ""),
+    ("lcm-binom-row-value", "lcm-binom-row 5 --value", 0, "lcm of row 5 = 2 * 5 = 10\n", ""),
+    ("readme-lcm-binom-row-value", "lcm-binom-row 10 --method identity --value", 0,
+     "lcm of row 10 = 2^3 * 3^2 * 5 * 7 = 2520\n", ""),
+    ("lcm-binom-row-direct-json", "lcm-binom-row 10 --method direct --json", 0,
+     '{"op": "lcm-binom-row", "input": {"k": "10", "method": "direct"}, '
+     '"output": {"value": "2520"}, "ok": true}\n', ""),
+    ("lcm-binom-row-sieve-ceiling", f"lcm-binom-row {SIEVE_LIMIT}", 2, "",
+     f"error: primes_upto serves n <= {SIEVE_LIMIT}, got {SIEVE_LIMIT + 1}\n"),
+    ("verify", "verify theorem1 --from 0 --to 200", 0,
+     "check=theorem1 from=0 to=200 total=201 failures=0 elapsed=*s\n", ""),
+    ("verify-json", "verify theorem1 --from 0 --to 40 --jobs 1 --json", 0,
+     '{"op": "verify", "input": {"check": "theorem1", "from": "0", "to": "40"}, '
+     '"output": {"check": "theorem1", "from": "0", "to": "40", "total": 41, "failures": 0, '
+     '"first_failure": null, "first_witness": null, "elapsed": *, "failing": []}, "ok": true}\n', ""),
+    ("readme-verify-eq4-quiet", "verify eq4 --from 1 --to 3000 --quiet", 0,
+     "check=eq4 from=1 to=3000 total=3000 failures=0 elapsed=*s\n", ""),
+    ("psi-ratio-zero", "psi-ratio 0", 2, "", "error: psi_ratio expects n >= 1, got 0\n"),
+]
 
-    code, out, _ = run_cli(capsys, "vp", "12", "2", "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    assert record["output"] == "2" and record["ok"] is True
-    assert record["input"] == {"n": "12", "p": "2"}
+ELAPSED = re.compile(r'(?<=elapsed=)[0-9.]+(?=s)|(?<="elapsed": )[0-9.e-]+')
 
 
-def test_vp_composite_p_is_usage_error(capsys):
-    code, _, err = run_cli(capsys, "vp", "12", "9")
-    assert code == 2
-    assert "p" in err and "9" in err
-
-
-def test_vp_above_primality_limit_is_usage_error(capsys):
-    psi12 = str(PRIMALITY_LIMIT)
-    code, out, err = run_cli(capsys, "vp", str(PRIMALITY_LIMIT**2), psi12)
-    assert code == 2 and out == ""
-    assert psi12 in err
-
-
-def test_main_restores_the_digit_limit_it_found(capsys, digit_limit):
-    if digit_limit is None:
-        pytest.skip("this interpreter has no digit limit")
-    run_cli(capsys, "vp", "12", "2")
+@pytest.mark.parametrize("argv, code, out, err",
+                         [pytest.param(*row[1:], id=row[0]) for row in CONTRACT])
+def test_cli_contract(capsys, digit_limit, argv, code, out, err):
+    result_code, result_out, result_err = run_cli(capsys, *argv.split())
+    assert (result_code, ELAPSED.sub("*", result_out), result_err) == (code, out, err)
     assert sys.get_int_max_str_digits() == digit_limit
 
 
-def test_main_reads_an_input_past_the_digit_limit(capsys, digit_limit):
-    # 4772 digits, read by main's own argparse under the caller's limit
-    code, out, _ = run_cli(capsys, "vp", str(Decimal(3**10000)), "3", "--json")
-    (record,) = parse_records(out)
-    assert code == 0 and record["output"] == "10000"
-
-
-def test_vp_binom_methods_agree(capsys):
-    code, out, _ = run_cli(capsys, "vp-binom", "5", "2", "2", "--method", "kummer")
-    assert code == 0 and out.strip() == "1"
-    for method in ("legendre", "direct"):
-        code, out, _ = run_cli(capsys, "vp-binom", "5", "2", "2", "--method", method)
-        assert code == 0 and out.strip() == "1"
-
-
-def test_vp_binom_rejects_k_above_n(capsys):
-    code, _, err = run_cli(capsys, "vp-binom", "3", "5", "2")
-    assert code == 2 and "k <= n" in err
-
-
-def test_digits(capsys):
-    code, out, _ = run_cli(capsys, "digits", "5", "2")
-    assert code == 0 and out == "5 in base 2: [1, 0, 1] (least significant first)\n"
-
-    code, out, _ = run_cli(capsys, "digits", "5", "2", "--json")
-    (record,) = parse_records(out)
-    assert code == 0 and record["output"] == [1, 0, 1]
-
-    code, out, _ = run_cli(capsys, "digits", "0", "2", "--json")
-    (record,) = parse_records(out)
-    assert record["output"] == []
-
-
-def test_row_max_with_oracle(capsys):
-    code, out, _ = run_cli(capsys, "row-max", "5", "2", "--oracle", "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    assert record["output"]["max_valuation"] == 1
-    assert record["output"]["attained_at"] == "3"
-    assert record["output"]["oracle"] == 1
-    assert record["ok"] is True
+def test_contract_has_a_row_for_every_subcommand():
+    (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
+    assert set(sub.choices) == {row[1].split()[0] for row in CONTRACT}
 
 
 @pytest.mark.parametrize("name", ["row_max_vp_bruteforce", "vp_binomial_kummer"])
@@ -112,75 +131,6 @@ def test_row_max_oracle_disagreement_exits_1(capsys, monkeypatch, name):
     assert record["ok"] is False
     code, out, _ = run_cli(capsys, "row-max", "5", "2", "--oracle")
     assert code == 1 and "DISAGREES" in out
-
-
-@pytest.mark.parametrize("p", ["2", "47"])
-def test_row_max_oracle_over_many_blocks(capsys, p):
-    code, out, _ = run_cli(capsys, "row-max", "999999", p, "--oracle", "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    assert record["output"]["oracle"] == record["output"]["max_valuation"]
-    assert record["ok"] is True
-
-
-def test_lcm_range_outputs(capsys):
-    code, out, _ = run_cli(capsys, "lcm-range", "10", "--value", "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    assert record["output"]["factors"] == [[2, 3], [3, 2], [5, 1], [7, 1]]
-    assert record["output"]["value"] == "2520"
-
-    code, human, _ = run_cli(capsys, "lcm-range", "10", "--value")
-    assert "2^3" in human and "2520" in human
-
-    code, _, err = run_cli(capsys, "lcm-range", "0")
-    assert code == 2 and "n >= 1" in err
-
-
-@pytest.mark.parametrize("argv", [
-    ["lcm-binom-row", "0"],
-    ["lcm-binom-row", "1"],
-    ["lcm-binom-row", "10"],
-    ["lcm-binom-row", "720719"],
-    ["lcm-range", "1"],
-    ["lcm-range", "10"],
-    ["lcm-range", "1000"],
-])
-def test_json_factor_primes_strictly_ascending(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    primes = [p for p, _ in record["output"]["factors"]]
-    assert all(a < b for a, b in zip(primes, primes[1:]))
-
-
-def test_lcm_binom_row_methods(capsys):
-    code, out, _ = run_cli(capsys, "lcm-binom-row", "5", "--method", "identity", "--value")
-    assert code == 0 and out.strip().endswith("= 10")
-
-    code, out, _ = run_cli(capsys, "lcm-binom-row", "5", "--method", "direct", "--json")
-    (record,) = parse_records(out)
-    assert record["output"]["value"] == "10"
-
-    code, out, _ = run_cli(capsys, "lcm-binom-row", "5", "--json")
-    (record,) = parse_records(out)
-    assert record["output"]["factors"] == [[2, 1], [5, 1]]
-
-
-def test_verify_sweep_passes(capsys):
-    code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "0", "--to", "200")
-    assert code == 0
-    assert "failures=0" in out and "total=201" in out
-
-    code, out, _ = run_cli(capsys, "verify", "theorem1", "--from", "0", "--to", "40",
-                           "--jobs", "1", "--json")
-    (record,) = parse_records(out)
-    assert record["ok"] is True
-    assert record["output"]["failures"] == 0
-    assert record["output"]["total"] == 41
-    assert record["output"]["first_failure"] is None
-    assert record["output"]["first_witness"] is None
-    assert record["output"]["failing"] == []
 
 
 def test_verify_failure_exit_and_listing(capsys, monkeypatch):
@@ -229,15 +179,6 @@ def test_quiet_is_a_verify_option_only(capsys, argv):
     assert "--quiet" in capsys.readouterr().err
 
 
-def test_domain_error_exits_2(capsys, monkeypatch):
-    def out_of_domain(n):
-        raise DomainError(f"n={n} is outside the domain")
-
-    monkeypatch.setattr(cli, "lcm_range_factored", out_of_domain)
-    code, out, err = run_cli(capsys, "lcm-range", "5")
-    assert (code, out, err) == (2, "", "error: n=5 is outside the domain\n")
-
-
 def test_verify_jobs_default_counts_the_cpus_this_process_may_use(capsys, monkeypatch):
     calls = []
 
@@ -281,12 +222,6 @@ def test_out_of_domain_sweep_exits_2_alike_at_every_jobs(capsys, pools, check, l
     assert pools == []
 
 
-def test_sieve_ceiling_is_a_usage_error(capsys):
-    code, out, err = run_cli(capsys, "lcm-binom-row", str(SIEVE_LIMIT))
-    assert code == 2 and out == ""
-    assert err == f"error: primes_upto serves n <= {SIEVE_LIMIT}, got {SIEVE_LIMIT + 1}\n"
-
-
 def test_verify_unknown_check_is_usage_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["verify", "bogus", "--from", "0", "--to", "1"])
@@ -300,6 +235,7 @@ def test_psi_ratio_output(capsys):
 
     code, out, _ = run_cli(capsys, "psi-ratio", "10", "--json")
     (record,) = parse_records(out)
+    assert record["op"] == "psi-ratio" and record["input"] == {"n": "10"}
     assert abs(record["output"] - 0.7832014180505469) < 1e-12
 
 
@@ -326,31 +262,3 @@ def test_json_mode_builds_no_human_text(capsys, monkeypatch, command):
     assert code == 0
     (record,) = parse_records(out)
     assert record["output"]["factors"][0][0] == 2
-
-
-# Each subcommand: a small valid argv after its name, and its record's input keys.
-OP_CASES = {
-    "vp": (["12", "2"], {"n", "p"}),
-    "vp-binom": (["5", "2", "2"], {"n", "k", "p", "method"}),
-    "digits": (["5", "2"], {"k", "p"}),
-    "row-max": (["20", "3"], {"k", "p"}),
-    "lcm-range": (["10"], {"n"}),
-    "lcm-binom-row": (["10"], {"k", "method"}),
-    "verify": (["eq4", "--from", "1", "--to", "5", "--jobs", "1"], {"check", "from", "to"}),
-    "psi-ratio": (["10"], {"n"}),
-}
-
-
-@pytest.mark.parametrize("command", OP_CASES)
-def test_json_record_op_is_the_subcommand(capsys, command):
-    args, input_keys = OP_CASES[command]
-    code, out, _ = run_cli(capsys, command, *args, "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    assert record["op"] == command
-    assert set(record["input"]) == input_keys
-
-
-def test_op_cases_name_every_subcommand():
-    (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
-    assert set(sub.choices) == set(OP_CASES)

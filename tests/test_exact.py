@@ -195,9 +195,6 @@ def test_factor_round_trip_random(n):
 @contextmanager
 def unlimited_int_str():
     """Lift the interpreter's int -> str digit cap for the reference path."""
-    if not hasattr(sys, "set_int_max_str_digits"):
-        yield
-        return
     previous = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:

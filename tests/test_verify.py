@@ -1,4 +1,5 @@
 import math
+import sys
 from decimal import Decimal
 
 import pytest
@@ -14,6 +15,8 @@ from binomlcm import (
     check_lower_bound,
     check_proof_chain,
     check_theorem1,
+    factored_value,
+    lcm_binom_row_identity,
     prop1_at,
     psi_ratio,
     verify_range_detailed,
@@ -154,6 +157,44 @@ def test_broken_side_fails_the_sweep(monkeypatch, digit_limit, check, name, fake
     summary = verify_range_detailed(check, *bounds, workers=1)
     assert summary.failing == failing
     assert summary.first_witness == witness
+
+
+# The routes a check compares share no kernel. One side per row, one input,
+# and the kernels that side must not reach; each is replaced by one that
+# raises in every binomlcm module that binds it, so a late
+# `from .exact import ...` inside a function meets the replacement too.
+ISOLATED_SIDES = [
+    pytest.param(identities.lcm_binom_row_direct, (30,),
+        ["primes_upto", "vp", "vp_lcm_range", "lcm_range_factored", "lcm_binom_row_identity",
+         "factored_value"],
+        id="theorem1-fold"),
+    pytest.param(lambda k: factored_value(lcm_binom_row_identity(k)), (30,),
+        ["binomial_row", "lcm_binom_row_direct"],
+        id="theorem1-identity"),
+    pytest.param(identities.row_max_vp_bruteforce, (30, 2),
+        ["expand", "_digit_span", "row_max_vp"],
+        id="prop1-scan"),
+    pytest.param(identities.row_max_vp, (30, 2), ["row_max_vp_bruteforce"], id="prop1-formula"),
+    pytest.param(identities.vp_successor_formula, (23, 2), ["vp"], id="eq4-formula"),
+    pytest.param(identities.vp_row_lcm_formula, (30, 3), ["vp", "vp_lcm_range"], id="eq5-formula"),
+    pytest.param(identities.lcm_range_factored, (30,), ["vp", "binomial_row"], id="eq3-power-fit"),
+]
+
+
+@pytest.mark.parametrize("side, args, forbidden", ISOLATED_SIDES)
+def test_side_reaches_no_forbidden_kernel(monkeypatch, side, args, forbidden):
+    expected = side(*args)
+    modules = [module for name, module in sys.modules.items()
+               if name == "binomlcm" or name.startswith("binomlcm.")]
+    for name in forbidden:
+        def reached(*_, name=name):
+            raise AssertionError(f"reached {name}")
+
+        binders = [module for module in modules if name in vars(module)]
+        assert binders, f"no binomlcm module binds {name}"
+        for module in binders:
+            monkeypatch.setattr(module, name, reached)
+    assert side(*args) == expected
 
 
 def test_eq5_sees_a_shifted_digit_span(monkeypatch):
