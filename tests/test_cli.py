@@ -8,6 +8,7 @@ import pytest
 
 import binomlcm.cli as cli
 import binomlcm.verify as verify
+from binomlcm import DomainError
 from binomlcm.cli import main
 from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
@@ -120,6 +121,34 @@ def test_cli_contract(capsys, digit_limit, argv, code, out, err):
 def test_contract_has_a_row_for_every_subcommand():
     (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
     assert set(sub.choices) == {row[1].split()[0] for row in CONTRACT}
+
+
+# The rows pin the small factor maps exactly; these also reach the large maps,
+# whose pair lists the CLI prints in the order of the map it was handed.
+@pytest.mark.parametrize("argv", [
+    ["lcm-binom-row", "0"],
+    ["lcm-binom-row", "1"],
+    ["lcm-binom-row", "10"],
+    ["lcm-binom-row", "720719"],
+    ["lcm-range", "1"],
+    ["lcm-range", "10"],
+    ["lcm-range", "1000"],
+])
+def test_json_factor_primes_strictly_ascending(capsys, argv):
+    code, out, _ = run_cli(capsys, *argv, "--json")
+    assert code == 0
+    (record,) = parse_records(out)
+    primes = [p for p, _ in record["output"]["factors"]]
+    assert all(a < b for a, b in zip(primes, primes[1:]))
+
+
+def test_domain_error_exits_2(capsys, monkeypatch):
+    def out_of_domain(n):
+        raise DomainError(f"n={n} is outside the domain")
+
+    monkeypatch.setattr(cli, "lcm_range_factored", out_of_domain)
+    code, out, err = run_cli(capsys, "lcm-range", "5")
+    assert (code, out, err) == (2, "", "error: n=5 is outside the domain\n")
 
 
 @pytest.mark.parametrize("name", ["row_max_vp_bruteforce", "vp_binomial_kummer"])
