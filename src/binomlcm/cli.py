@@ -15,7 +15,8 @@ import argparse
 import json
 import os
 import sys
-from typing import Any
+from itertools import islice
+from typing import Any, Iterable, Iterator, Mapping
 
 # factored_value has no caller here; perfbench/worker.py TRACE_POINTS rebinds it.
 from .exact import binomial, factored_decimal, factored_value
@@ -31,43 +32,70 @@ from .verify import CHECKS, prop1_at, psi_ratio, verify_range_detailed
 __all__ = ["main", "build_parser"]
 
 
+def _record(args: argparse.Namespace, inputs: dict[str, Any], output: Any, ok: bool) -> str:
+    """One JSON record whose op is the subcommand, without its newline."""
+    return json.dumps({
+        "op": args.command,
+        "input": {key: str(value) for key, value in inputs.items()},
+        "output": output,
+        "ok": ok,
+    })
+
+
 def _emit(args: argparse.Namespace, inputs: dict[str, Any], output: Any,
           ok: bool, human: list[str]) -> None:
-    """Print one result: a JSON record whose op is the subcommand, or plain lines."""
+    """Print one result: a JSON record, or plain lines."""
     if args.json:
-        record = {
-            "op": args.command,
-            "input": {key: str(value) for key, value in inputs.items()},
-            "output": output,
-            "ok": ok,
-        }
-        print(json.dumps(record))
+        print(_record(args, inputs, output, ok))
     else:
         for line in human:
             print(line)
 
 
-def _format_factored(factors: dict[int, int]) -> str:
+# Pairs per write of a factored result, so that no string of a whole
+# million-pair record is ever built.
+_CHUNK = 4096
+
+
+def _write_joined(parts: Iterable[str], sep: str) -> None:
+    """Write parts joined by sep to sys.stdout, _CHUNK parts per write."""
+    write = sys.stdout.write  # looked up per call: callers may redirect stdout
+    parts = iter(parts)
+    write(sep.join(islice(parts, _CHUNK)))
+    while chunk := sep.join(islice(parts, _CHUNK)):
+        write(sep + chunk)
+
+
+def _format_factored(factors: Mapping[int, int]) -> Iterator[str]:
+    """Human pairs of a factored value: p^e, or p where e is 1; 1 for no factors."""
     if not factors:
-        return "1"
-    return " * ".join(f"{p}^{e}" if e > 1 else str(p) for p, e in factors.items())
+        yield "1"
+    for p, e in factors.items():
+        yield f"{p}^{e}" if e > 1 else str(p)
 
 
-def _factored_result(args: argparse.Namespace, label: str,
-                     factors: dict[int, int]) -> tuple[dict[str, Any], list[str]]:
-    """Output record and human line of a factored result, sharing one render
-    of the --value digits; --json mode builds no human line."""
-    # Factor maps come from the ascending sieve and only ever lose keys, so
-    # their items are in ascending prime order; json writes tuples as arrays.
-    output: dict[str, Any] = {"factors": list(factors.items())}
-    if args.value:
-        output["value"] = factored_decimal(factors)
+def _print_factored(args: argparse.Namespace, inputs: dict[str, Any], label: str,
+                    factors: Mapping[int, int]) -> None:
+    """Print a factored result, a JSON record or one human line, in pieces
+    byte-identical to json.dumps with its default separators, building no
+    list of pairs and no whole-record string. Factor maps come from the
+    ascending sieve and only ever lose keys, so their pairs are in ascending
+    prime order. The --value digits are rendered before the first write, so
+    an error leaves stdout empty."""
+    value = factored_decimal(factors) if args.value else None
+    write = sys.stdout.write
     if args.json:
-        return output, []
-    text = f"{label} = {_format_factored(factors)}"
-    if args.value:
-        text += f" = {output['value']}"
-    return output, [text]
+        output = {"factors": []} if value is None else {"factors": [], "value": value}
+        # op, the input strings and the factors come first, so the first
+        # '"factors": [' is the key's own
+        head, tail = _record(args, inputs, output, True).split('"factors": [', 1)
+        write(head + '"factors": [')
+        _write_joined((f"[{p}, {e}]" for p, e in factors.items()), ", ")
+        write(tail + "\n")
+    else:
+        write(f"{label} = ")
+        _write_joined(_format_factored(factors), " * ")
+        write("\n" if value is None else f" = {value}\n")
 
 
 def _cmd_vp(args: argparse.Namespace) -> int:
@@ -118,18 +146,17 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
 
 
 def _cmd_lcm_range(args: argparse.Namespace) -> int:
-    output, human = _factored_result(args, f"lcm(1..{args.n})", lcm_range_factored(args.n))
-    _emit(args, {"n": args.n}, output, True, human)
+    _print_factored(args, {"n": args.n}, f"lcm(1..{args.n})", lcm_range_factored(args.n))
     return 0
 
 
 def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
+    inputs = {"k": args.k, "method": args.method}
     if args.method == "identity":
-        output, human = _factored_result(args, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
+        _print_factored(args, inputs, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
     else:
-        output = {"value": str(lcm_binom_row_direct(args.k))}
-        human = [f"lcm of row {args.k} = {output['value']}"]
-    _emit(args, {"k": args.k, "method": args.method}, output, True, human)
+        value = str(lcm_binom_row_direct(args.k))
+        _emit(args, inputs, {"value": value}, True, [f"lcm of row {args.k} = {value}"])
     return 0
 
 

@@ -7,8 +7,8 @@ from __future__ import annotations
 import math
 from decimal import MAX_EMAX, MAX_PREC, Context, Decimal, Inexact, Overflow, Rounded, localcontext
 from functools import lru_cache
-from itertools import compress, islice
-from typing import Any, Callable, Iterator, Mapping
+from itertools import compress, islice, starmap
+from typing import Any, Callable, Iterable, Iterator, Mapping
 
 from .errors import DomainError, NotPrimeError
 
@@ -108,6 +108,9 @@ def require_prime(p: int) -> None:
         raise NotPrimeError(f"p must be prime, got {p}")
 
 
+# A factored value: a prime -> exponent map, or its (p, e) pairs in any order.
+Factored = Mapping[int, int] | Iterable[tuple[int, int]]
+
 # Prime powers per leaf of the product tree: few enough Python objects for
 # the tree to stay small, narrow enough for each leaf product to stay cheap.
 _BLOCK = 64
@@ -121,25 +124,29 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, traps=[Inexact, Rounded, Overflow
 _DECIMAL_LEAF_BITS = 1 << 13
 
 
-def _multiply_out(factors: Mapping[int, int], leaf: Callable[[int], Any]) -> Any:
-    """Product of a prime -> exponent map as a balanced tree: the prime
-    powers are multiplied in blocks of _BLOCK, each block product becomes a
-    leaf, and the leaves are multiplied pairwise until one is left. A
-    negative or non-integer exponent makes its block product a non-int and
-    raises DomainError."""
-    pairs = iter(factors.items())
-    level = []
+def _tree_product(leaves: list) -> Any:
+    """Product of a nonempty list by recursive halving: a balanced tree."""
+    if len(leaves) == 1:
+        return leaves[0]
+    half = len(leaves) // 2
+    return _tree_product(leaves[:half]) * _tree_product(leaves[half:])
+
+
+def _multiply_out(factors: Factored, leaf: Callable[[int], Any]) -> Any:
+    """Product of a prime -> exponent map, or of (p, e) pairs, as a balanced
+    tree: the prime powers are multiplied in blocks of _BLOCK, each block
+    product becomes a leaf, and the leaves are multiplied by recursive
+    halving. A negative or non-integer exponent makes its block product a
+    non-int and raises DomainError."""
+    pairs = iter(factors.items() if isinstance(factors, Mapping) else factors)
+    leaves = []
     while block := list(islice(pairs, _BLOCK)):
-        product = math.prod(p**e for p, e in block)
+        product = math.prod(starmap(pow, block))
         if type(product) is not int:
             p, e = next((p, e) for p, e in block if type(p**e) is not int)
             raise DomainError(f"factored maps take non-negative integer exponents, got {p}**{e}")
-        level.append(leaf(product))
-    if not level:
-        return leaf(1)
-    while len(level) > 1:
-        level = [math.prod(level[i : i + 2]) for i in range(0, len(level), 2)]
-    return level[0]
+        leaves.append(leaf(product))
+    return _tree_product(leaves) if leaves else leaf(1)
 
 
 def _to_decimal(n: int) -> Decimal:
@@ -152,13 +159,14 @@ def _to_decimal(n: int) -> Decimal:
     return _to_decimal(high) * Decimal(2) ** half + _to_decimal(n - (high << half))
 
 
-def factored_value(factors: Mapping[int, int]) -> int:
-    """Multiply out a prime -> exponent map; the empty map is 1. Exponents
-    must be non-negative integers (DomainError otherwise)."""
+def factored_value(factors: Factored) -> int:
+    """Multiply out a prime -> exponent map or an iterable of (p, e) pairs;
+    no factors give 1. Exponents must be non-negative integers (DomainError
+    otherwise)."""
     return _multiply_out(factors, int)
 
 
-def factored_decimal(factors: Mapping[int, int]) -> str:
+def factored_decimal(factors: Factored) -> str:
     """Decimal digits of factored_value(factors), multiplied out in exact
     decimal arithmetic so that no quadratic int -> str conversion runs."""
     with localcontext(_EXACT):

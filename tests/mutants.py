@@ -64,6 +64,14 @@ MUTANTS = [
      'print(f"error: {exc}", file=sys.stderr)',
      'print(f"error: {exc}")',
      "tests/test_cli.py::test_cli_contract[vp-composite-p]"),
+    ("cli-chunk-joint-without-separator", "src/binomlcm/cli.py",
+     "        write(sep + chunk)\n",
+     "        write(chunk)\n",
+     "tests/test_cli.py::test_factored_output_matches_whole_record[json-lcm-binom-row-720719]"),
+    ("tree-drops-odd-last-leaf", "src/binomlcm/exact.py",
+     "_tree_product(leaves[half:])",
+     "_tree_product(leaves[half : 2 * half])",
+     "tests/test_exact.py::test_kernel_takes_a_map_or_pairs_from_any_iterable"),
 ]
 
 

@@ -10,7 +10,7 @@ import binomlcm.cli as cli
 import binomlcm.verify as verify
 from binomlcm import DomainError
 from binomlcm.cli import main
-from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_value
+from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_decimal, factored_value
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
 from fresh_python import run_python
@@ -140,6 +140,43 @@ def test_json_factor_primes_strictly_ascending(capsys, argv):
     (record,) = parse_records(out)
     primes = [p for p, _ in record["output"]["factors"]]
     assert all(a < b for a, b in zip(primes, primes[1:]))
+
+
+def whole_record_output(command, size, flags):
+    """Stdout of a factored result built in one piece: a json.dumps of the
+    whole record with its pairs as a list, or the whole human line."""
+    if command == "lcm-binom-row":
+        factors, inputs = lcm_binom_row_identity(size), {"k": str(size), "method": "identity"}
+        label = f"lcm of row {size}"
+    else:
+        factors, inputs = lcm_range_factored(size), {"n": str(size)}
+        label = f"lcm(1..{size})"
+    output = {"factors": list(factors.items())}
+    if "--value" in flags:
+        output["value"] = factored_decimal(factors)
+    if "--json" in flags:
+        return json.dumps({"op": command, "input": inputs, "output": output, "ok": True}) + "\n"
+    line = f"{label} = " + (" * ".join(f"{p}^{e}" if e > 1 else str(p)
+                                         for p, e in factors.items()) or "1")
+    if "--value" in flags:
+        line += f" = {output['value']}"
+    return line + "\n"
+
+
+# lcm-binom-row 720719 has 58,083 pairs, so its output spans several writes.
+@pytest.mark.parametrize("command, size", [
+    ("lcm-binom-row", 0),
+    ("lcm-binom-row", 1),
+    ("lcm-binom-row", 10),
+    ("lcm-binom-row", 720719),
+    ("lcm-range", 1),
+    ("lcm-range", 1000),
+])
+@pytest.mark.parametrize("flags", [[], ["--value"], ["--json"], ["--value", "--json"]],
+                         ids=["human", "value", "json", "value-json"])
+def test_factored_output_matches_whole_record(capsys, command, size, flags):
+    assert run_cli(capsys, command, str(size), *flags) == (
+        0, whole_record_output(command, size, flags), "")
 
 
 def test_domain_error_exits_2(capsys, monkeypatch):

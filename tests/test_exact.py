@@ -1,4 +1,5 @@
 import math
+import random
 import sys
 from bisect import bisect_right
 from contextlib import contextmanager
@@ -222,6 +223,31 @@ def test_kernel_block_boundaries(count):
     primes = primes_upto(1000)[:count]
     assert len(primes) == count
     assert_kernel_matches_left_fold({p: 1 + i % 3 for i, p in enumerate(primes)})
+
+
+def test_kernel_takes_a_map_or_pairs_from_any_iterable():
+    # Every prefix of the first 300 primes: 0 to 5 leaves, odd counts included.
+    primes = primes_upto(2000)[:300]
+    assert len(primes) == 300
+    rng = random.Random(300)
+    exponents = [rng.randint(1, 4) for _ in primes]
+    for n in range(len(primes) + 1):
+        pairs = list(zip(primes[:n], exponents[:n]))
+        reference = math.prod(p**e for p, e in pairs)
+        for multiply_out, expected in ((factored_value, reference), (factored_decimal, str(reference))):
+            assert multiply_out(dict(pairs)) == expected
+            assert multiply_out(pairs) == expected
+            assert multiply_out(pair for pair in pairs) == expected
+
+
+def test_pair_streams_check_exponents_and_may_be_empty():
+    for multiply_out in (factored_value, factored_decimal):
+        # the negative exponent arrives in the second block of the stream
+        stream = ((p, -1 if i == 64 else 1) for i, p in enumerate(primes_upto(1000)))
+        with pytest.raises(DomainError, match="non-negative integer exponents"):
+            multiply_out(stream)
+    assert factored_value(iter(())) == 1
+    assert factored_decimal(iter(())) == "1"
 
 
 @given(st.integers(min_value=1, max_value=10**5))
