@@ -5,8 +5,8 @@ output by default; --json switches to machine mode with exactly one JSON
 record per result line, big integers serialized as decimal strings and
 factored values as ascending [prime, exponent] pairs.
 
-Exit codes: 0 success with all checks passed, 1 if any check failed,
-2 on usage or domain errors.
+Exit codes, for every subcommand: 0 every check passed, 1 some check
+failed, 2 usage or domain error, 141 stdout closed by its reader.
 """
 
 from __future__ import annotations
@@ -43,13 +43,14 @@ def _record(args: argparse.Namespace, inputs: dict[str, Any], output: Any, ok: b
 
 
 def _emit(args: argparse.Namespace, inputs: dict[str, Any], output: Any,
-          ok: bool, human: list[str]) -> None:
-    """Print one result: a JSON record, or plain lines."""
+          ok: bool, human: list[str]) -> int:
+    """Print one result, a JSON record or plain lines, and return its exit code."""
     if args.json:
         print(_record(args, inputs, output, ok))
     else:
         for line in human:
             print(line)
+    return 0 if ok else 1
 
 
 # Pairs per write of a factored result, so that no string of a whole
@@ -75,13 +76,13 @@ def _format_factored(factors: Mapping[int, int]) -> Iterator[str]:
 
 
 def _print_factored(args: argparse.Namespace, inputs: dict[str, Any], label: str,
-                    factors: Mapping[int, int]) -> None:
+                    factors: Mapping[int, int]) -> int:
     """Print a factored result, a JSON record or one human line, in pieces
     byte-identical to json.dumps with its default separators, building no
     list of pairs and no whole-record string. Factor maps come from the
     ascending sieve and only ever lose keys, so their pairs are in ascending
     prime order. The --value digits are rendered before the first write, so
-    an error leaves stdout empty."""
+    an error leaves stdout empty. Returns 0: a factored result checks nothing."""
     value = factored_decimal(factors) if args.value else None
     write = sys.stdout.write
     if args.json:
@@ -96,12 +97,12 @@ def _print_factored(args: argparse.Namespace, inputs: dict[str, Any], label: str
         write(f"{label} = ")
         _write_joined(_format_factored(factors), " * ")
         write("\n" if value is None else f" = {value}\n")
+    return 0
 
 
 def _cmd_vp(args: argparse.Namespace) -> int:
     value = vp(args.n, args.p)
-    _emit(args, {"n": args.n, "p": args.p}, str(value), True, [str(value)])
-    return 0
+    return _emit(args, {"n": args.n, "p": args.p}, str(value), True, [str(value)])
 
 
 _VP_BINOM_METHODS = {
@@ -114,15 +115,13 @@ _VP_BINOM_METHODS = {
 def _cmd_vp_binom(args: argparse.Namespace) -> int:
     value = _VP_BINOM_METHODS[args.method](args.n, args.k, args.p)
     inputs = {"n": args.n, "k": args.k, "p": args.p, "method": args.method}
-    _emit(args, inputs, str(value), True, [str(value)])
-    return 0
+    return _emit(args, inputs, str(value), True, [str(value)])
 
 
 def _cmd_digits(args: argparse.Namespace) -> int:
     digits = list(expand(args.k, args.p))
     human = [f"{args.k} in base {args.p}: {digits} (least significant first)"]
-    _emit(args, {"k": args.k, "p": args.p}, digits, True, human)
-    return 0
+    return _emit(args, {"k": args.k, "p": args.p}, digits, True, human)
 
 
 def _cmd_row_max(args: argparse.Namespace) -> int:
@@ -141,23 +140,19 @@ def _cmd_row_max(args: argparse.Namespace) -> int:
         output["oracle"] = report.rhs
         ok = report.passed
         human.append(f"row scan oracle: {report.rhs} ({'agrees' if ok else 'DISAGREES'})")
-    _emit(args, {"k": args.k, "p": args.p}, output, ok, human)
-    return 0 if ok else 1
+    return _emit(args, {"k": args.k, "p": args.p}, output, ok, human)
 
 
 def _cmd_lcm_range(args: argparse.Namespace) -> int:
-    _print_factored(args, {"n": args.n}, f"lcm(1..{args.n})", lcm_range_factored(args.n))
-    return 0
+    return _print_factored(args, {"n": args.n}, f"lcm(1..{args.n})", lcm_range_factored(args.n))
 
 
 def _cmd_lcm_binom_row(args: argparse.Namespace) -> int:
     inputs = {"k": args.k, "method": args.method}
     if args.method == "identity":
-        _print_factored(args, inputs, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
-    else:
-        value = str(lcm_binom_row_direct(args.k))
-        _emit(args, inputs, {"value": value}, True, [f"lcm of row {args.k} = {value}"])
-    return 0
+        return _print_factored(args, inputs, f"lcm of row {args.k}", lcm_binom_row_identity(args.k))
+    value = str(lcm_binom_row_direct(args.k))
+    return _emit(args, inputs, {"value": value}, True, [f"lcm of row {args.k} = {value}"])
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -187,14 +182,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         human.append(f"failing inputs: {shown}{more}")
         human.append(f"first witness: {summary.first_witness}")
     ok = summary.failures == 0
-    _emit(args, {"check": args.check, "from": args.lo, "to": args.hi}, output, ok, human)
-    return 0 if ok else 1
+    return _emit(args, {"check": args.check, "from": args.lo, "to": args.hi}, output, ok, human)
 
 
 def _cmd_psi_ratio(args: argparse.Namespace) -> int:
     ratio = psi_ratio(args.n)
-    _emit(args, {"n": args.n}, ratio, True, [str(ratio)])
-    return 0
+    return _emit(args, {"n": args.n}, ratio, True, [str(ratio)])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -263,10 +256,16 @@ def main(argv: list[str] | None = None) -> int:
     sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:  # the reader closed stdout: exit as a shell shows SIGPIPE
+        with open(os.devnull, "wb") as devnull:  # where the final flush at exit writes
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return 141
     finally:
         sys.set_int_max_str_digits(found)
 

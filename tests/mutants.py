@@ -68,6 +68,18 @@ MUTANTS = [
      "        write(sep + chunk)\n",
      "        write(chunk)\n",
      "tests/test_cli.py::test_factored_output_matches_whole_record[json-lcm-binom-row-720719]"),
+    ("cli-failed-check-exits-0", "src/binomlcm/cli.py",
+     "    return 0 if ok else 1\n",
+     "    return 0\n",
+     "tests/test_cli.py::test_verify_failure_exit_and_listing"),
+    ("cli-pairs-reversed", "src/binomlcm/cli.py",
+     "for p, e in factors.items())",
+     "for p, e in reversed(factors.items()))",
+     "tests/test_cli.py::test_factored_output_matches_whole_record[json-lcm-binom-row-720719]"),
+    ("cli-broken-pipe-exits-1", "src/binomlcm/cli.py",
+     "        return 141\n",
+     "        return 1\n",
+     "tests/test_cli.py::test_closed_stdout_exits_141_quietly"),
     ("tree-drops-odd-last-leaf", "src/binomlcm/exact.py",
      "_tree_product(leaves[half:])",
      "_tree_product(leaves[half : 2 * half])",

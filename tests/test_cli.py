@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import subprocess
 import sys
 from decimal import Decimal
 
@@ -10,10 +11,10 @@ import binomlcm.cli as cli
 import binomlcm.verify as verify
 from binomlcm import DomainError
 from binomlcm.cli import main
-from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_decimal, factored_value
+from binomlcm.exact import PRIMALITY_LIMIT, SIEVE_LIMIT, factored_decimal
 from binomlcm.identities import lcm_binom_row_identity, lcm_range_factored
 from binomlcm.verify import CheckReport
-from fresh_python import run_python
+from fresh_python import fresh_env, run_python
 
 
 def run_cli(capsys, *argv):
@@ -121,25 +122,6 @@ def test_cli_contract(capsys, digit_limit, argv, code, out, err):
 def test_contract_has_a_row_for_every_subcommand():
     (sub,) = [action for action in cli.build_parser()._actions if action.dest == "command"]
     assert set(sub.choices) == {row[1].split()[0] for row in CONTRACT}
-
-
-# The rows pin the small factor maps exactly; these also reach the large maps,
-# whose pair lists the CLI prints in the order of the map it was handed.
-@pytest.mark.parametrize("argv", [
-    ["lcm-binom-row", "0"],
-    ["lcm-binom-row", "1"],
-    ["lcm-binom-row", "10"],
-    ["lcm-binom-row", "720719"],
-    ["lcm-range", "1"],
-    ["lcm-range", "10"],
-    ["lcm-range", "1000"],
-])
-def test_json_factor_primes_strictly_ascending(capsys, argv):
-    code, out, _ = run_cli(capsys, *argv, "--json")
-    assert code == 0
-    (record,) = parse_records(out)
-    primes = [p for p, _ in record["output"]["factors"]]
-    assert all(a < b for a, b in zip(primes, primes[1:]))
 
 
 def whole_record_output(command, size, flags):
@@ -270,6 +252,20 @@ def test_in_process_sweep_never_imports_the_process_pool():
     assert run_python(script) == "0 False"
 
 
+# lcm-range 200000 prints 151 KB human and 223 KB of JSON, more than a 64 KB
+# pipe holds, so the child is still writing when its reader closes the pipe.
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_exits_141_quietly(flags):
+    argv = [sys.executable, "-m", "binomlcm", "lcm-range", "200000", *flags]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=fresh_env()) as child:
+        head = child.stdout.read(40)
+        child.stdout.close()
+        code = child.wait(timeout=120)
+        err = child.stderr.read()
+    assert (len(head), code, err) == (40, 141, b"")
+
+
 def test_import_leaves_dataclasses_and_inspect_unloaded():
     script = (
         "import sys\n"
@@ -303,19 +299,6 @@ def test_psi_ratio_output(capsys):
     (record,) = parse_records(out)
     assert record["op"] == "psi-ratio" and record["input"] == {"n": "10"}
     assert abs(record["output"] - 0.7832014180505469) < 1e-12
-
-
-@pytest.mark.parametrize("command, size, factored", [
-    ("lcm-binom-row", 5000, lcm_binom_row_identity),
-    ("lcm-range", 5000, lcm_range_factored),
-])
-def test_value_digits_identical_in_human_and_json(capsys, command, size, factored):
-    code, human, _ = run_cli(capsys, command, str(size), "--value")
-    assert code == 0
-    human_digits = human.strip().rsplit(" = ", 1)[1]
-    _, machine, _ = run_cli(capsys, command, str(size), "--value", "--json")
-    (record,) = parse_records(machine)
-    assert human_digits == record["output"]["value"] == str(factored_value(factored(size)))
 
 
 @pytest.mark.parametrize("command", ["lcm-binom-row", "lcm-range"])
