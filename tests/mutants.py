@@ -39,7 +39,7 @@ MUTANTS = [
     ("range-map-descending", "src/binomlcm/identities.py",
      "for p in primes_upto(n)}",
      "for p in reversed(primes_upto(n))}",
-     "tests/test_identities.py::test_lcm_range_factored_monotone"),
+     "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
     ("row-map-keeps-zero-exponents", "src/binomlcm/identities.py",
      "        if exponent:\n            factors[p] = exponent\n        else:\n            del factors[p]\n",
      "        factors[p] = exponent\n",
@@ -84,6 +84,42 @@ MUTANTS = [
      "_tree_product(leaves[half:])",
      "_tree_product(leaves[half : 2 * half])",
      "tests/test_exact.py::test_kernel_takes_a_map_or_pairs_from_any_iterable"),
+    ("kernel-drops-last-partial-block", "src/binomlcm/exact.py",
+     "    while block := list(islice(pairs, _BLOCK)):",
+     "    while len(block := list(islice(pairs, _BLOCK))) == _BLOCK:",
+     "tests/test_exact.py::test_kernel_takes_a_map_or_pairs_from_any_iterable"),
+    ("kernel-ignores-exponents", "src/binomlcm/exact.py",
+     "product = math.prod(starmap(pow, block))",
+     "product = math.prod(p for p, e in block)",
+     "tests/test_exact.py::test_kernel_takes_a_map_or_pairs_from_any_iterable"),
+    ("base-multiple-passes", "src/binomlcm/exact.py",
+     "            return n == p",
+     "            return True",
+     "tests/test_exact.py::test_is_prime_agrees_with_trial_division"),
+    ("sieve-keeps-squares", "src/binomlcm/exact.py",
+     "start = p * p",
+     "start = p * p + p",
+     "tests/test_exact.py::test_primes_upto_agrees_with_trial_division"),
+    ("block-valuation-offset", "src/binomlcm/identities.py",
+     "first = -lo % power",
+     "first = lo % power",
+     "tests/test_identities.py::test_row_walk_matches_full_row_kummer_route"),
+    ("rollover-misses-carry-out", "src/binomlcm/identities.py",
+     "return top + 1 if lowest_open is None",
+     "return top if lowest_open is None",
+     "tests/test_acceptance.py::test_criterion_4_formula_checks"),
+    ("row-lcm-formula-shifted", "src/binomlcm/identities.py",
+     "row_max_vp(k, p).max_valuation",
+     "row_max_vp(k + 1, p).max_valuation",
+     "tests/test_acceptance.py::test_criterion_4_formula_checks"),
+    ("range-map-short-at-4096", "src/binomlcm/identities.py",
+     "vp_lcm_range(n, p) for p",
+     "vp_lcm_range(n - (n == 4096), p) for p",
+     "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
+    ("invariant-guard-off-by-one", "src/binomlcm/identities.py",
+     "        if exponent < 0:",
+     "        if exponent < -1:",
+     "tests/test_identities.py::test_negative_row_exponent_is_an_internal_invariant_failure"),
 ]
 
 

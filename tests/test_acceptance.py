@@ -12,6 +12,8 @@ import os
 import random
 import time
 
+import pytest
+
 from binomlcm import (
     RangeSummary,
     binomial,
@@ -132,29 +134,12 @@ def test_criterion_6_hanson_bound_and_psi_ratio():
     )
 
 
-def test_criterion_7_fast_path_performance():
+def _warm_identity(k: int) -> tuple[float, dict[int, int]]:
+    """lcm_binom_row_identity(k) timed in this interpreter, whose primality
+    cache earlier calls may have filled; returns the seconds and the result."""
     started = time.perf_counter()
-    fast = lcm_binom_row_identity(5000)
-    fast_seconds = time.perf_counter() - started
-
-    started = time.perf_counter()
-    direct = lcm_binom_row_direct(5000)
-    direct_seconds = time.perf_counter() - started
-
-    values_match = factored_value(fast) == direct
-    speedup = direct_seconds / max(fast_seconds, 1e-9)
-
-    started = time.perf_counter()
-    lcm_binom_row_identity(100_000)
-    big_seconds = time.perf_counter() - started
-
-    ok = values_match and speedup >= 10.0 and big_seconds < 1.0
-    _report(
-        "criterion 7: identity path >= 10x direct at k=5000 and < 1s at k=1e5",
-        ok,
-        f"k=5000: identity {fast_seconds:.4f}s vs direct {direct_seconds:.4f}s "
-        f"({speedup:.0f}x); k=1e5: {big_seconds:.3f}s; values match: {values_match}",
-    )
+    factors = lcm_binom_row_identity(k)
+    return time.perf_counter() - started, factors
 
 
 def _cold_identity(k: int) -> tuple[float, dict[int, int]]:
@@ -164,8 +149,24 @@ def _cold_identity(k: int) -> tuple[float, dict[int, int]]:
     return record["seconds"], dict(record["factors"])
 
 
-def test_criterion_7_fast_path_performance_cold():
-    fast_seconds, fast = _cold_identity(5000)
+@pytest.mark.parametrize(
+    "timed_identity,name",
+    [
+        pytest.param(
+            _warm_identity,
+            "criterion 7: identity path >= 10x direct at k=5000 and < 1s at k=1e5",
+            id="warm",
+        ),
+        pytest.param(
+            _cold_identity,
+            "criterion 7, cold: identity path >= 10x direct at k=5000 and < 1s at k=1e5, "
+            "each in a fresh interpreter",
+            id="cold",
+        ),
+    ],
+)
+def test_criterion_7_fast_path_performance(timed_identity, name):
+    fast_seconds, fast = timed_identity(5000)
 
     started = time.perf_counter()
     direct = lcm_binom_row_direct(5000)
@@ -173,12 +174,11 @@ def test_criterion_7_fast_path_performance_cold():
 
     values_match = factored_value(fast) == direct
     speedup = direct_seconds / max(fast_seconds, 1e-9)
-    big_seconds, _ = _cold_identity(100_000)
+    big_seconds, _ = timed_identity(100_000)
 
     ok = values_match and speedup >= 10.0 and big_seconds < 1.0
     _report(
-        "criterion 7, cold: identity path >= 10x direct at k=5000 and < 1s at k=1e5, "
-        "each in a fresh interpreter",
+        name,
         ok,
         f"k=5000: identity {fast_seconds:.4f}s vs direct {direct_seconds:.4f}s "
         f"({speedup:.0f}x); k=1e5: {big_seconds:.3f}s; values match: {values_match}",

@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import strategies as st
 
 from binomlcm import (
     DomainError,
+    InternalInvariantError,
     NotPrimeError,
     factored_value,
     lcm_binom_row_direct,
@@ -16,11 +18,11 @@ from binomlcm import (
     row_max_vp_bruteforce,
     vp,
     vp_binomial_kummer,
-    vp_binomial_legendre,
     vp_lcm_range,
     vp_row_lcm_formula,
     vp_successor_formula,
 )
+from binomlcm import identities
 from binomlcm.identities import _SCAN_BLOCK, _digit_span
 
 PRIMES_50 = primes_upto(50)
@@ -33,15 +35,6 @@ def is_power_of(n: int, p: int) -> bool:
 
 
 # -------------------------------------------------------------- digit span
-
-
-def test_digit_span_examples():
-    assert _digit_span(7, 2) == (2, None)
-    assert _digit_span(5, 2) == (2, 1)
-    assert _digit_span(4, 2) == (2, 0)
-    assert _digit_span(1, 2) == (0, None)
-    assert _digit_span(25, 3) == (2, 0)
-    assert _digit_span(26, 3) == (2, None)
 
 
 def test_digit_span_open_digit_absent_iff_successor_is_base_power():
@@ -78,12 +71,6 @@ def test_row_max_examples(k, p, max_valuation, attained_at):
     assert result.attained_at == attained_at
 
 
-def test_row_max_bruteforce_examples():
-    assert row_max_vp_bruteforce(0, 2) == 0
-    assert row_max_vp_bruteforce(5, 2) == 1
-    assert row_max_vp_bruteforce(7, 2) == 0
-
-
 @pytest.mark.parametrize(
     "function,bad_k",
     [(vp_successor_formula, 0), (vp_row_lcm_formula, 0), (row_max_vp_bruteforce, -1)],
@@ -99,13 +86,6 @@ def test_row_max_bruteforce_checks_the_prime_before_scanning():
     # At k = 0 the row has one entry; the up-front check is the only one run.
     with pytest.raises(NotPrimeError):
         row_max_vp_bruteforce(0, 4)
-
-
-def test_half_row_scan_matches_full_row_factorial_route():
-    for k in range(201):
-        for p in PRIMES_50:
-            full_row = max(vp_binomial_legendre(k, i, p) for i in range(k + 1))
-            assert row_max_vp_bruteforce(k, p) == full_row, (k, p)
 
 
 def kummer_half_row_max(k, p):
@@ -187,33 +167,9 @@ def test_vp_lcm_range_exact_power_boundaries(p, e):
 # ------------------------------------------------------- successor formula
 
 
-def test_vp_successor_examples():
-    assert vp_successor_formula(7, 2) == 3
-    assert vp_successor_formula(5, 2) == 1
-    assert vp_successor_formula(4, 2) == 0
-    with pytest.raises(DomainError):
-        vp_successor_formula(0, 2)
-
-
 @given(st.integers(min_value=1, max_value=10**9), st.sampled_from(PRIMES_50))
 def test_vp_successor_matches_direct_valuation_random(k, p):
     assert vp_successor_formula(k, p) == vp(k + 1, p)
-
-
-# -------------------------------------------------------- row lcm exponent
-
-
-def test_vp_row_lcm_formula_examples():
-    assert vp_row_lcm_formula(7, 2) == 0
-    assert vp_row_lcm_formula(5, 2) == 1
-    assert vp_row_lcm_formula(4, 2) == 2
-
-
-def test_row_lcm_formula_equals_difference_and_row_max():
-    for k in range(1, 301):
-        for p in PRIMES_50:
-            formula = vp_row_lcm_formula(k, p)
-            assert formula == vp_lcm_range(k + 1, p) - vp_successor_formula(k, p)
 
 
 # ------------------------------------------------------------ factored lcm
@@ -229,14 +185,17 @@ def test_lcm_range_factored_examples():
         lcm_range_factored(0)
 
 
-def test_lcm_range_factored_monotone():
-    prev = lcm_range_factored(1)
+def test_lcm_range_factored_is_the_power_fit_map():
+    # Reference built by trial division alone: at each n = p**e, with p the
+    # smallest factor of n, p's exponent rises to e. Each prime enters at
+    # n = p, so the reference stays in ascending key order.
+    reference = {}
+    assert lcm_range_factored(1) == reference
     for n in range(2, 10001):
-        cur = lcm_range_factored(n)
-        assert list(cur) == sorted(cur) and min(cur.values()) >= 1, n
-        for p, e in prev.items():
-            assert cur.get(p, 0) >= e, (n, p)
-        prev = cur
+        p = next((f for f in range(2, math.isqrt(n) + 1) if n % f == 0), n)
+        if is_power_of(n, p):
+            reference[p] = reference.get(p, 0) + 1
+        assert list(lcm_range_factored(n).items()) == list(reference.items()), n
 
 
 # -------------------------------------------------------------- row lcm(s)
@@ -249,6 +208,14 @@ def test_row_identity_examples():
     assert factored_value(lcm_binom_row_identity(7)) == 105  # lcm(1..8)/8
     with pytest.raises(DomainError):
         lcm_binom_row_identity(-3)
+
+
+def test_negative_row_exponent_is_an_internal_invariant_failure(monkeypatch):
+    # v_2(8) faked to 4 exceeds 3, the exponent of 2 in lcm(1..8).
+    real_vp = identities.vp
+    monkeypatch.setattr(identities, "vp", lambda n, p: real_vp(n, p) + (p == 2))
+    with pytest.raises(InternalInvariantError, match=r"prime 2 at k=7\b"):
+        lcm_binom_row_identity(7)
 
 
 def test_row_direct_examples():
