@@ -13,7 +13,7 @@ from itertools import repeat
 from typing import Callable, NamedTuple, Union
 
 from .errors import DomainError, UnknownCheckError
-from .exact import binomial, factored_value, primes_upto
+from .exact import SIEVE_LIMIT, binomial, factored_value, primes_upto
 from .identities import (
     lcm_binom_row_direct,
     lcm_binom_row_identity,
@@ -91,15 +91,14 @@ class RangeSummary(NamedTuple):
         return self.failing[0] if self.failing else None
 
 
-# Smallest input of each check. Every domain is a lower bound, so a range is
-# in its check's domain exactly when its first input is.
-_LOWEST = {"theorem1": 0, "prop1": 0, "eq3": 1, "eq4": 1, "eq5": 1,
-           "lower-bound": 1, "proof-chain": 1, "hanson": 1}
-
-
-def _require_in_domain(check: str, n: int) -> None:
-    if n < _LOWEST[check]:
-        raise DomainError(f"check {check} expects inputs >= {_LOWEST[check]}, got {n}")
+# (lowest, highest) input of each check. highest is the sieve ceiling of the
+# range map the check builds (of k + 1 for theorem1); prop1, eq4 and eq5 build
+# none. A sweep checks both ends here; a direct call is refused by the kernel
+# the check calls first.
+_DOMAIN = {"theorem1": (0, SIEVE_LIMIT - 1), "prop1": (0, math.inf),
+           "eq3": (1, SIEVE_LIMIT), "eq4": (1, math.inf), "eq5": (1, math.inf),
+           "lower-bound": (1, SIEVE_LIMIT), "proof-chain": (1, SIEVE_LIMIT),
+           "hanson": (1, SIEVE_LIMIT)}
 
 
 def _int_text(n: int) -> str:
@@ -155,9 +154,8 @@ def check_eq3(n: int) -> CheckReport:
     """Range-lcm exponents: largest-power formula vs. valuations of the fold
     oracle at every prime of the map, then the map's value vs. the fold, so
     a prime missing from the map fails too."""
-    _require_in_domain("eq3", n)
-    fold = math.lcm(*range(1, n + 1))
     formula = lcm_range_factored(n)
+    fold = math.lcm(*range(1, n + 1))
     direct = {p: vp(fold, p) for p in formula}
     mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct[p]}"
                   for p, e in formula.items() if e != direct[p])
@@ -180,7 +178,6 @@ def _eq4_at(k: int, p: int) -> CheckReport:
 
 def check_eq4(k: int) -> CheckReport:
     """_eq4_at at every prime up to the sweep bound."""
-    _require_in_domain("eq4", k)
     return _at_each_prime(k, _eq4_at)
 
 
@@ -198,13 +195,11 @@ def _eq5_at(k: int, p: int) -> CheckReport:
 
 def check_eq5(k: int) -> CheckReport:
     """_eq5_at at every prime up to the sweep bound."""
-    _require_in_domain("eq5", k)
     return _at_each_prime(k, _eq5_at)
 
 
 def check_lower_bound(n: int) -> CheckReport:
     """lcm(1..n) >= 2**(n-1), compared as exact integers."""
-    _require_in_domain("lower-bound", n)
     range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     witness = None
@@ -217,10 +212,9 @@ def check_proof_chain(n: int) -> CheckReport:
     """The three exact links from the row at n-1 up to the power-of-two floor:
     lcm(1..n) = n * row lcm, n * row max >= 2**(n-1), lcm(1..n) >= n * row max.
     The row is unimodal, so its max is the central entry C(n-1, (n-1) // 2)."""
-    _require_in_domain("proof-chain", n)
+    range_lcm = factored_value(lcm_range_factored(n))
     row_lcm = lcm_binom_row_direct(n - 1)
     row_max = binomial(n - 1, (n - 1) // 2)
-    range_lcm = factored_value(lcm_range_factored(n))
     floor = 1 << (n - 1)
     broken = []
     if range_lcm != n * row_lcm:
@@ -235,7 +229,6 @@ def check_proof_chain(n: int) -> CheckReport:
 
 def check_hanson(n: int) -> CheckReport:
     """lcm(1..n) <= 3**n, compared as exact integers."""
-    _require_in_domain("hanson", n)
     range_lcm = factored_value(lcm_range_factored(n))
     ceiling = 3**n
     witness = None
@@ -277,10 +270,10 @@ def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> Ran
     """Run one named check on every input in [lo, hi] and summarize it.
 
     Workers get contiguous ascending chunks, concatenated in chunk order, so
-    the summary never depends on worker count or scheduling. A range below
-    the check's domain is rejected at lo before any input runs, so the error
-    is also the same at every worker count. The process pool is imported
-    only when one starts.
+    the summary never depends on worker count or scheduling. A range past
+    either end of the check's domain is rejected before any input runs, so
+    the error is also the same at every worker count. The process pool is
+    imported only when one starts.
     """
     if check not in CHECKS:
         raise UnknownCheckError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
@@ -288,7 +281,11 @@ def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> Ran
         raise DomainError(f"empty range: from={lo} > to={hi}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    _require_in_domain(check, lo)
+    lowest, highest = _DOMAIN[check]
+    if lo < lowest:
+        raise DomainError(f"check {check} expects inputs >= {lowest}, got {lo}")
+    if hi > highest:
+        raise DomainError(f"check {check} expects inputs <= {highest}, got {hi}")
     started = time.perf_counter()
     total = hi - lo + 1
     workers = min(workers, total, MAX_WORKERS)

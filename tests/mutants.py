@@ -4,13 +4,15 @@ Run from anywhere, with pytest installed:
 
     python tests/mutants.py
 
-For each mutant the runner copies src/, tests/ and pyproject.toml into a
-temporary directory and runs the killing test there unmutated, which must
-pass. It then replaces the one occurrence of the old text with the new text
-and runs the killing test again. Only pytest's exit code 1 (a test failed)
-counts as a kill. Any other exit code, such as 4 or 5 for a node id that
-names no test, fails the runner as a surviving mutant does. The runner exits
-0 when every mutant is killed and 1 otherwise.
+The runner copies src/, tests/ and pyproject.toml into one temporary
+directory and runs every distinct killing test there unmutated, in one pytest
+call that must exit 0. Pytest loads no plugin but hypothesis's. Then, for each mutant in turn, it replaces the one
+occurrence of the old text with the new text in that copy, runs the killing
+test, and restores the file. Only pytest's exit code 1 (a test failed) counts
+as a kill. Any other exit code, such as 4 or 5 for a node id that names no
+test, fails the runner as a surviving mutant does. No bytecode is written, so
+a restored source never meets its mutant's cached .pyc. The runner exits 0
+when every mutant is killed and 1 otherwise.
 
 Mutation testing follows DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978. This file uses the standard library
@@ -120,46 +122,72 @@ MUTANTS = [
      "        if exponent < 0:",
      "        if exponent < -1:",
      "tests/test_identities.py::test_negative_row_exponent_is_an_internal_invariant_failure"),
+    ("sweep-ignores-hi", "src/binomlcm/verify.py",
+     "    if hi > highest:\n"
+     '        raise DomainError(f"check {check} expects inputs <= {highest}, got {hi}")\n',
+     "",
+     "tests/test_verify.py::test_sweep_refuses_a_range_past_either_end_before_any_input[eq3-1]"),
+    ("proof-chain-fold-first", "src/binomlcm/verify.py",
+     "    range_lcm = factored_value(lcm_range_factored(n))\n"
+     "    row_lcm = lcm_binom_row_direct(n - 1)\n",
+     "    row_lcm = lcm_binom_row_direct(n - 1)\n"
+     "    range_lcm = factored_value(lcm_range_factored(n))\n",
+     "tests/test_verify.py::test_check_refuses_each_domain_end_before_any_fold[proof-chain]"),
+    ("eq3-fold-first", "src/binomlcm/verify.py",
+     "    formula = lcm_range_factored(n)\n    fold = math.lcm(*range(1, n + 1))\n",
+     "    fold = math.lcm(*range(1, n + 1))\n    formula = lcm_range_factored(n)\n",
+     "tests/test_verify.py::test_check_refuses_each_domain_end_before_any_fold[eq3]"),
 ]
 
 
-def _pytest(tree: Path, node: str) -> int:
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"))
-    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", node]
+def _pytest(tree: Path, *nodes: str) -> int:
+    # Only the test dependency's plugin loads: plugin autoloading made each
+    # pytest start about a second slower (pytest 9.0, CPython 3.11, Linux).
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1",
+               PYTEST_DISABLE_PLUGIN_AUTOLOAD="1")
+    command = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+               "-p", "_hypothesis_pytestplugin", *nodes]
     return subprocess.run(command, cwd=tree, env=env, stdout=subprocess.DEVNULL,
                           stderr=subprocess.DEVNULL).returncode
 
 
-def run_mutant(file: str, old: str, new: str, node: str) -> str:
-    """Verdict on one mutant: "killed", or why it counts as not killed."""
+def run_mutant(tree: Path, file: str, old: str, new: str, node: str) -> str:
+    """Verdict on one mutant of the clean copy at tree: "killed", or why it
+    counts as not killed. The file is restored afterwards."""
+    target = tree / file
+    text = target.read_text()
+    if text.count(old) != 1:
+        return f"old text occurs {text.count(old)} times in {file}"
+    target.write_text(text.replace(old, new))
+    try:
+        code = _pytest(tree, node)
+    finally:
+        target.write_text(text)
+    if code == 1:
+        return "killed"
+    return "survived" if code == 0 else f"pytest exits {code} on the mutant"
+
+
+def main() -> int:
+    start = time.perf_counter()
     with tempfile.TemporaryDirectory(prefix="binomlcm-mutant-") as temp:
         tree = Path(temp)
         for name in ("src", "tests"):
             shutil.copytree(ROOT / name, tree / name,
                             ignore=shutil.ignore_patterns("__pycache__"))
         shutil.copy2(ROOT / "pyproject.toml", tree / "pyproject.toml")
-        code = _pytest(tree, node)
+        nodes = list(dict.fromkeys(node for *_, node in MUTANTS))
+        code = _pytest(tree, *nodes)
+        print(f"{len(nodes)} killing tests unmutated: pytest exits {code} "
+              f"({time.perf_counter() - start:.1f} s)")
         if code != 0:
-            return f"killing test exits {code} unmutated"
-        target = tree / file
-        text = target.read_text()
-        if text.count(old) != 1:
-            return f"old text occurs {text.count(old)} times in {file}"
-        target.write_text(text.replace(old, new))
-        code = _pytest(tree, node)
-        if code == 1:
-            return "killed"
-        return "survived" if code == 0 else f"pytest exits {code} on the mutant"
-
-
-def main() -> int:
-    start = time.perf_counter()
-    killed = 0
-    for mutant_id, file, old, new, node in MUTANTS:
-        began = time.perf_counter()
-        verdict = run_mutant(file, old, new, node)
-        killed += verdict == "killed"
-        print(f"{mutant_id}: {verdict} ({node}, {time.perf_counter() - began:.1f} s)")
+            return 1
+        killed = 0
+        for mutant_id, file, old, new, node in MUTANTS:
+            began = time.perf_counter()
+            verdict = run_mutant(tree, file, old, new, node)
+            killed += verdict == "killed"
+            print(f"{mutant_id}: {verdict} ({node}, {time.perf_counter() - began:.1f} s)")
     print(f"{killed} of {len(MUTANTS)} mutants killed in {time.perf_counter() - start:.1f} s")
     return 0 if killed == len(MUTANTS) else 1
 

@@ -103,6 +103,8 @@ CONTRACT = [
      '{"op": "verify", "input": {"check": "theorem1", "from": "0", "to": "40"}, '
      '"output": {"check": "theorem1", "from": "0", "to": "40", "total": 41, "failures": 0, '
      '"first_failure": null, "first_witness": null, "elapsed": *, "failing": []}, "ok": true}\n', ""),
+    ("verify-hanson-past-ceiling", f"verify hanson --from {SIEVE_LIMIT + 1} --to {SIEVE_LIMIT + 1}",
+     2, "", f"error: check hanson expects inputs <= {SIEVE_LIMIT}, got {SIEVE_LIMIT + 1}\n"),
     ("readme-verify-eq4-quiet", "verify eq4 --from 1 --to 3000 --quiet", 0,
      "check=eq4 from=1 to=3000 total=3000 failures=0 elapsed=*s\n", ""),
     ("psi-ratio-zero", "psi-ratio 0", 2, "", "error: psi_ratio expects n >= 1, got 0\n"),
@@ -279,7 +281,7 @@ def test_import_leaves_dataclasses_and_inspect_unloaded():
 def test_out_of_domain_sweep_exits_2_alike_at_every_jobs(capsys, pools, check, lo):
     results = {run_cli(capsys, "verify", check, "--from", lo, "--to", "300000", "--jobs", jobs)
                for jobs in ("1", "2")}
-    lowest = verify._LOWEST[check]
+    lowest = verify._DOMAIN[check][0]
     assert results == {(2, "", f"error: check {check} expects inputs >= {lowest}, got {lo}\n")}
     assert pools == []
 

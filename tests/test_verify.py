@@ -278,18 +278,55 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(pools):
 
 @pytest.mark.parametrize("check, lo, hi", [("eq4", 0, 300000), ("theorem1", -1, 50)])
 def test_pooled_sweep_rejects_out_of_domain_range_before_any_pool(pools, check, lo, hi):
-    lowest = verify._LOWEST[check]
+    lowest = verify._DOMAIN[check][0]
     with pytest.raises(DomainError, match=f"check {check} expects inputs >= {lowest}, got {lo}"):
         verify_range_detailed(check, lo, hi, workers=2)
     assert pools == []
 
 
 def test_domain_table_names_every_check_and_its_smallest_input():
-    assert set(verify._LOWEST) == set(verify.CHECKS)
-    for check, lowest in verify._LOWEST.items():
+    assert set(verify._DOMAIN) == set(verify.CHECKS)
+    for check, (lowest, _) in verify._DOMAIN.items():
         assert verify.CHECKS[check](lowest).passed
+
+
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_check_refuses_each_domain_end_before_any_fold(monkeypatch, check):
+    """A direct call past either end of the domain is refused by the first
+    kernel the check calls, before any fold or row runs: at the sieve
+    ceiling a fold would build a 1e8-entry argument list first."""
+    def fold(*_):
+        raise AssertionError("a fold ran outside the domain")
+
+    for name in ("lcm_binom_row_direct", "binomial", "row_max_vp_bruteforce"):
+        monkeypatch.setattr(verify, name, fold)
+    monkeypatch.setattr(math, "lcm", fold)
+    monkeypatch.setattr(verify, "range", fold, raising=False)
+    lowest, highest = verify._DOMAIN[check]
+    with pytest.raises(DomainError):
+        verify.CHECKS[check](lowest - 1)
+    if highest < math.inf:
         with pytest.raises(DomainError):
-            verify.CHECKS[check](lowest - 1)
+            verify.CHECKS[check](highest + 1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("check", sorted(verify.CHECKS))
+def test_sweep_refuses_a_range_past_either_end_before_any_input(monkeypatch, pools, check,
+                                                                workers):
+    def run(n):
+        raise AssertionError(f"input {n} ran")
+
+    monkeypatch.setitem(verify.CHECKS, check, run)
+    lowest, highest = verify._DOMAIN[check]
+    with pytest.raises(DomainError) as below:
+        verify_range_detailed(check, lowest - 1, lowest, workers)
+    assert str(below.value) == f"check {check} expects inputs >= {lowest}, got {lowest - 1}"
+    if highest < math.inf:
+        with pytest.raises(DomainError) as above:
+            verify_range_detailed(check, highest, highest + 1, workers)
+        assert str(above.value) == f"check {check} expects inputs <= {highest}, got {highest + 1}"
+    assert pools == []
 
 
 def test_check_report_is_both_sides_and_the_witness():
