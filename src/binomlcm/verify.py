@@ -151,18 +151,18 @@ def check_prop1(k: int) -> CheckReport:
 
 
 def check_eq3(n: int) -> CheckReport:
-    """Range-lcm exponents: largest-power formula vs. valuations of the fold
-    oracle at every prime of the map, then the map's value vs. the fold, so
-    a prime missing from the map fails too."""
+    """Range lcm two ways: the power-fit map's value vs. the fold oracle. A
+    mismatch names the map's first prime off the fold's valuation, else both values."""
     formula = lcm_range_factored(n)
     fold = math.lcm(*range(1, n + 1))
-    direct = {p: vp(fold, p) for p in formula}
-    mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct[p]}"
-                  for p, e in formula.items() if e != direct[p])
-    witness = next(mismatches, None)
-    if witness is None and (value := factored_value(formula)) != fold:
-        witness = f"n={n}: power-fit map value {_int_text(value)} != fold lcm {_int_text(fold)}"
-    return CheckReport(formula, direct, witness)
+    value = factored_value(formula)
+    witness = None
+    if value != fold:
+        mismatches = (f"p={p}: power-fit exponent {e} != fold valuation {direct}"
+                      for p, e in formula.items() if e != (direct := vp(fold, p)))
+        witness = next(mismatches, f"n={n}: power-fit map value {_int_text(value)} "
+                                   f"!= fold lcm {_int_text(fold)}")
+    return CheckReport(value, fold, witness)
 
 
 def _eq4_at(k: int, p: int) -> CheckReport:

@@ -6,13 +6,14 @@ Run from anywhere, with pytest installed:
 
 The runner copies src/, tests/ and pyproject.toml into one temporary
 directory and runs every distinct killing test there unmutated, in one pytest
-call that must exit 0. Pytest loads no plugin but hypothesis's. Then, for each mutant in turn, it replaces the one
-occurrence of the old text with the new text in that copy, runs the killing
-test, and restores the file. Only pytest's exit code 1 (a test failed) counts
-as a kill. Any other exit code, such as 4 or 5 for a node id that names no
-test, fails the runner as a surviving mutant does. No bytecode is written, so
-a restored source never meets its mutant's cached .pyc. The runner exits 0
-when every mutant is killed and 1 otherwise.
+call that must exit 0. Pytest loads no plugin but hypothesis's. Then, for
+each mutant in turn, it replaces the one occurrence of the old text with the
+new text in that copy, runs the killing test, and restores the file. Only
+pytest's exit code 1 (a test failed) counts as a kill. Any other exit code,
+such as 4 or 5 for a node id that names no test, fails the runner as a
+surviving mutant does. No bytecode is written, so a restored source never
+meets its mutant's cached .pyc. The runner exits 0 when every mutant is
+killed and 1 otherwise.
 
 Mutation testing follows DeMillo, Lipton and Sayward, "Hints on test data
 selection", IEEE Computer 11(4), 1978. This file uses the standard library
@@ -137,6 +138,11 @@ MUTANTS = [
      "    formula = lcm_range_factored(n)\n    fold = math.lcm(*range(1, n + 1))\n",
      "    fold = math.lcm(*range(1, n + 1))\n    formula = lcm_range_factored(n)\n",
      "tests/test_verify.py::test_check_refuses_each_domain_end_before_any_fold[eq3]"),
+    ("eq3-drops-value-witness", "src/binomlcm/verify.py",
+     'f"n={n}: power-fit map value {_int_text(value)} "\n'
+     '                                   f"!= fold lcm {_int_text(fold)}")',
+     "None)",
+     "tests/test_verify.py::test_broken_side_fails_the_sweep[eq3-missing-prime]"),
 ]
 
 

@@ -10,11 +10,6 @@ from binomlcm import (
     DomainError,
     NotPrimeError,
     UnknownCheckError,
-    check_eq3,
-    check_hanson,
-    check_lower_bound,
-    check_proof_chain,
-    check_theorem1,
     factored_value,
     lcm_binom_row_identity,
     prop1_at,
@@ -23,45 +18,20 @@ from binomlcm import (
 )
 
 
-def test_check_theorem1_examples():
-    for k, value in [(0, 1), (5, 10), (6, 60)]:
-        report = check_theorem1(k)
-        assert report.passed and report.witness is None
-        assert report.lhs == report.rhs == value
+# check, input, and the exact sides of its passing report: each whole-value
+# check reports the two integers it compared.
+PASSING_REPORTS = [
+    ("theorem1", 0, 1, 1), ("theorem1", 5, 10, 10), ("theorem1", 6, 60, 60),
+    ("eq3", 1, 1, 1), ("eq3", 10, 2520, 2520),
+    ("lower-bound", 1, 1, 1), ("lower-bound", 2, 2, 2), ("lower-bound", 7, 420, 64),
+    ("proof-chain", 1, 1, 1), ("proof-chain", 6, 60, 32), ("proof-chain", 8, 840, 128),
+    ("hanson", 1, 1, 3), ("hanson", 7, 420, 2187), ("hanson", 10, 2520, 59049),
+]
 
 
-def test_check_lower_bound_examples():
-    report = check_lower_bound(1)
-    assert report.passed and report.lhs == 1 and report.rhs == 1
-    report = check_lower_bound(7)
-    assert report.passed and report.lhs == 420 and report.rhs == 64
-    report = check_lower_bound(2)
-    assert report.passed and report.lhs == 2 and report.rhs == 2
-    with pytest.raises(DomainError):
-        check_lower_bound(0)
-
-
-def test_check_proof_chain_examples():
-    assert check_proof_chain(1).passed
-    report = check_proof_chain(6)
-    assert report.passed and report.lhs == 60 and report.rhs == 32
-    report = check_proof_chain(8)
-    assert report.passed and report.lhs == 840 and report.rhs == 128
-    with pytest.raises(DomainError):
-        check_proof_chain(0)
-
-
-def test_check_hanson_examples():
-    assert check_hanson(1).passed
-    report = check_hanson(7)
-    assert report.passed and report.lhs == 420 and report.rhs == 3**7
-    report = check_hanson(10)
-    assert report.passed and report.lhs == 2520 and report.rhs == 59049
-
-
-def test_eq3_sides_stop_at_n():
-    report = check_eq3(10)
-    assert report.lhs == report.rhs == {2: 3, 3: 2, 5: 1, 7: 1}
+@pytest.mark.parametrize("check, n, lhs, rhs", PASSING_REPORTS)
+def test_passing_check_report(check, n, lhs, rhs):
+    assert verify.CHECKS[check](n) == verify.CheckReport(lhs, rhs, None)
 
 
 def test_prop1_at_compares_formula_with_scan():
@@ -162,7 +132,8 @@ def test_broken_side_fails_the_sweep(monkeypatch, digit_limit, check, name, fake
 # The routes a check compares share no kernel. One side per row, one input,
 # and the kernels that side must not reach; each is replaced by one that
 # raises in every binomlcm module that binds it, so a late
-# `from .exact import ...` inside a function meets the replacement too.
+# `from .exact import ...` inside a function meets the replacement too. The
+# eq3-verdict row runs the whole check: a passing input needs no valuation.
 ISOLATED_SIDES = [
     pytest.param(identities.lcm_binom_row_direct, (30,),
         ["primes_upto", "vp", "vp_lcm_range", "lcm_range_factored", "lcm_binom_row_identity",
@@ -178,6 +149,7 @@ ISOLATED_SIDES = [
     pytest.param(identities.vp_successor_formula, (23, 2), ["vp"], id="eq4-formula"),
     pytest.param(identities.vp_row_lcm_formula, (30, 3), ["vp", "vp_lcm_range"], id="eq5-formula"),
     pytest.param(identities.lcm_range_factored, (30,), ["vp", "binomial_row"], id="eq3-power-fit"),
+    pytest.param(verify.check_eq3, (30,), ["vp"], id="eq3-verdict"),
 ]
 
 
@@ -254,8 +226,6 @@ def test_verify_range_domain_errors():
         verify_range_detailed("theorem1", 5, 2)
     with pytest.raises(DomainError):
         verify_range_detailed("theorem1", 0, 5, workers=0)
-    with pytest.raises(DomainError):
-        verify_range_detailed("lower-bound", 0, 3, workers=1)
 
 
 def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(pools):
@@ -274,14 +244,6 @@ def test_pool_gets_contiguous_chunks_and_at_most_one_worker_per_input(pools):
 
     verify_range_detailed("lower-bound", 1, 200, workers=5000)
     assert pools[-1][0] == verify.MAX_WORKERS == 61
-
-
-@pytest.mark.parametrize("check, lo, hi", [("eq4", 0, 300000), ("theorem1", -1, 50)])
-def test_pooled_sweep_rejects_out_of_domain_range_before_any_pool(pools, check, lo, hi):
-    lowest = verify._DOMAIN[check][0]
-    with pytest.raises(DomainError, match=f"check {check} expects inputs >= {lowest}, got {lo}"):
-        verify_range_detailed(check, lo, hi, workers=2)
-    assert pools == []
 
 
 def test_domain_table_names_every_check_and_its_smallest_input():
