@@ -44,8 +44,9 @@ def binomial_row(n: int) -> Iterator[int]:
 
 
 # Largest n primes_upto serves; checked before allocating. At this bound a
-# fresh process peaks at 368 MB (ru_maxrss, CPython 3.11, x86-64 Linux): the
-# 100 MB bytearray sieve plus the list of its 5,761,455 primes.
+# fresh process takes about 1.7 s and peaks at 301 MB (ru_maxrss, CPython
+# 3.11, x86-64 Linux, 2 CPUs): the 50 MB odd-only bytearray sieve plus the
+# list of its 5,761,455 primes.
 SIEVE_LIMIT = 10**8
 
 
@@ -55,13 +56,15 @@ def primes_upto(n: int) -> list[int]:
         raise DomainError(f"primes_upto serves n <= {SIEVE_LIMIT}, got {n}")
     if n < 2:
         return []
-    sieve = bytearray(b"\x01") * (n + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, math.isqrt(n) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start :: p] = b"\x00" * ((n - start) // p + 1)
-    return list(compress(range(n + 1), sieve))
+    # Odd-only sieve: flags[i] stands for 2i + 1, so stepping one odd
+    # multiple of p to the next moves p places.
+    flags = bytearray(b"\x01") * ((n + 1) // 2)
+    flags[0] = 0
+    for p in range(3, math.isqrt(n) + 1, 2):
+        if flags[p >> 1]:
+            start = p * p // 2
+            flags[start::p] = bytes(len(range(start, len(flags), p)))
+    return [2, *compress(range(1, n + 1, 2), flags)]
 
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)

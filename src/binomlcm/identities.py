@@ -19,7 +19,7 @@ from typing import NamedTuple
 
 from .errors import DomainError, InternalInvariantError
 from .exact import binomial_row, primes_upto, require_prime
-from .padic import expand, vp
+from .padic import expand
 
 __all__ = [
     "RowMaxResult",
@@ -115,7 +115,8 @@ def vp_lcm_range(n: int, p: int) -> int:
     """Largest e with p**e <= n, which is the exponent of p in lcm(1..n).
 
     Found by exact repeated multiplication, so boundaries at exact powers
-    of p cannot be missed.
+    of p cannot be missed. The range-lcm map computes its exponents
+    inline, so this stays eq. (5)'s independent side.
     """
     require_prime(p)
     if n < 1:
@@ -147,26 +148,58 @@ def vp_row_lcm_formula(k: int, p: int) -> int:
 
 
 def lcm_range_factored(n: int) -> dict[int, int]:
-    """lcm(1..n) as a prime -> exponent map (largest power fitting in n)."""
+    """lcm(1..n) as a prime -> exponent map, ascending: each sieve prime p
+    <= n with the largest e such that p**e <= n.
+
+    Every prime gets exponent 1, and only p <= isqrt(n) can fit p**2, so
+    only those are raised further, by exact repeated multiplication. Each
+    sieve prime still passes require_prime.
+    """
     if n < 1:
         raise DomainError(f"lcm_range_factored expects n >= 1, got {n}")
-    return {p: vp_lcm_range(n, p) for p in primes_upto(n)}
+    primes = primes_upto(n)
+    for p in primes:
+        require_prime(p)
+    factors = dict.fromkeys(primes, 1)
+    root = math.isqrt(n)
+    for p in primes:
+        if p > root:
+            break
+        power = p * p
+        while power <= n:
+            factors[p] += 1
+            power *= p
+    return factors
 
 
 def lcm_binom_row_identity(k: int) -> dict[int, int]:
     """Row lcm of C(k, 0..k) in factored form, via the fast path.
 
-    Theorem 1 as written: the lcm(1..k+1) map divided by k+1, i.e. v_p(k+1)
-    subtracted at each prime p dividing k+1, with zero exponents dropped.
-    Negative exponents cannot occur, so one is reported as an internal
-    invariant failure rather than a user error.
+    Theorem 1 as written: the lcm(1..k+1) map divided by k+1. k+1 is
+    factored by trial division over the map's primes up to the square root
+    of what is left of it; a cofactor above 1 is then one prime. Each
+    prime's v_p(k+1) is subtracted from its exponent, and zero exponents
+    are dropped. Negative exponents cannot occur, so one is reported as an
+    internal invariant failure rather than a user error.
     """
     if k < 0:
         raise DomainError(f"lcm_binom_row_identity expects k >= 0, got {k}")
-    successor = k + 1
-    factors = lcm_range_factored(successor)
-    for p in [p for p in factors if successor % p == 0]:
-        exponent = factors[p] - vp(successor, p)
+    factors = lcm_range_factored(k + 1)
+    rest = k + 1
+    divisors = []
+    for p in factors:
+        if p * p > rest:
+            break
+        valuation = 0
+        while rest % p == 0:
+            rest //= p
+            valuation += 1
+        if valuation:
+            divisors.append((p, valuation))
+    if rest > 1:
+        divisors.append((rest, 1))
+    for p, valuation in divisors:
+        exponent = factors[p] - valuation
         if exponent < 0:
             raise InternalInvariantError(
                 f"negative exponent {exponent} for prime {p} at k={k}: "

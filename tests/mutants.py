@@ -40,16 +40,16 @@ MUTANTS = [
      "    return factored_value(lcm_binom_row_identity(k))\n",
      "tests/test_verify.py::test_side_reaches_no_forbidden_kernel[theorem1-fold]"),
     ("range-map-descending", "src/binomlcm/identities.py",
-     "for p in primes_upto(n)}",
-     "for p in reversed(primes_upto(n))}",
+     "factors = dict.fromkeys(primes, 1)",
+     "factors = dict.fromkeys(reversed(primes), 1)",
      "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
     ("row-map-keeps-zero-exponents", "src/binomlcm/identities.py",
      "        if exponent:\n            factors[p] = exponent\n        else:\n            del factors[p]\n",
      "        factors[p] = exponent\n",
      "tests/test_identities.py::test_row_identity_examples"),
     ("range-exponent-misses-exact-power", "src/binomlcm/identities.py",
-     "while power <= n:",
-     "while power < n:",
+     "    while power <= n:\n        exponent += 1\n",
+     "    while power < n:\n        exponent += 1\n",
      "tests/test_identities.py::test_vp_lcm_range_examples"),
     ("cli-caret", "src/binomlcm/cli.py",
      'f"{p}^{e}"',
@@ -100,8 +100,12 @@ MUTANTS = [
      "            return True",
      "tests/test_exact.py::test_is_prime_agrees_with_trial_division"),
     ("sieve-keeps-squares", "src/binomlcm/exact.py",
+     "start = p * p // 2",
+     "start = p * p // 2 + p",
+     "tests/test_exact.py::test_primes_upto_agrees_with_trial_division"),
+    ("sieve-start-index-not-halved", "src/binomlcm/exact.py",
+     "start = p * p // 2",
      "start = p * p",
-     "start = p * p + p",
      "tests/test_exact.py::test_primes_upto_agrees_with_trial_division"),
     ("block-valuation-offset", "src/binomlcm/identities.py",
      "first = -lo % power",
@@ -116,9 +120,17 @@ MUTANTS = [
      "row_max_vp(k + 1, p).max_valuation",
      "tests/test_acceptance.py::test_criterion_4_formula_checks"),
     ("range-map-short-at-4096", "src/binomlcm/identities.py",
-     "vp_lcm_range(n, p) for p",
-     "vp_lcm_range(n - (n == 4096), p) for p",
+     "        while power <= n:\n            factors[p] += 1\n",
+     "        while power <= n - (n == 4096):\n            factors[p] += 1\n",
      "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
+    ("range-exponent-inline-misses-exact-power", "src/binomlcm/identities.py",
+     "        while power <= n:\n            factors[p] += 1\n",
+     "        while power < n:\n            factors[p] += 1\n",
+     "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
+    ("row-drops-prime-cofactor", "src/binomlcm/identities.py",
+     "    if rest > 1:\n        divisors.append((rest, 1))\n",
+     "",
+     "tests/test_identities.py::test_row_identity_matches_digit_formula"),
     ("invariant-guard-off-by-one", "src/binomlcm/identities.py",
      "        if exponent < 0:",
      "        if exponent < -1:",

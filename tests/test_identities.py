@@ -211,9 +211,9 @@ def test_row_identity_examples():
 
 
 def test_negative_row_exponent_is_an_internal_invariant_failure(monkeypatch):
-    # v_2(8) faked to 4 exceeds 3, the exponent of 2 in lcm(1..8).
-    real_vp = identities.vp
-    monkeypatch.setattr(identities, "vp", lambda n, p: real_vp(n, p) + (p == 2))
+    # v_2(8) = 3 exceeds 2, the exponent of 2 in a faked lcm(1..8) map.
+    real_map = identities.lcm_range_factored
+    monkeypatch.setattr(identities, "lcm_range_factored", lambda n: {**real_map(n), 2: 2})
     with pytest.raises(InternalInvariantError, match=r"prime 2 at k=7\b"):
         lcm_binom_row_identity(7)
 

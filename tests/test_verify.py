@@ -148,7 +148,8 @@ ISOLATED_SIDES = [
     pytest.param(identities.row_max_vp, (30, 2), ["row_max_vp_bruteforce"], id="prop1-formula"),
     pytest.param(identities.vp_successor_formula, (23, 2), ["vp"], id="eq4-formula"),
     pytest.param(identities.vp_row_lcm_formula, (30, 3), ["vp", "vp_lcm_range"], id="eq5-formula"),
-    pytest.param(identities.lcm_range_factored, (30,), ["vp", "binomial_row"], id="eq3-power-fit"),
+    pytest.param(identities.lcm_range_factored, (30,), ["vp", "vp_lcm_range", "binomial_row"],
+        id="eq3-power-fit"),
     pytest.param(verify.check_eq3, (30,), ["vp"], id="eq3-verdict"),
 ]
 
