@@ -3,7 +3,7 @@
 The centerpiece: the lcm of the row C(k, 0), ..., C(k, k) equals
 lcm(1, ..., k+1) / (k+1). The fast path takes the power-fit map of
 lcm(1..k+1), the largest e with p**e <= k+1 at each prime p <= k+1, and
-subtracts v_p(k+1) where p divides k+1, never touching a binomial
+divides v_p(k+1) out in the same pass, never touching a binomial
 coefficient. The digit formulas of Prop. 1 and eqs. (4)-(5) live here, as
 do the independent oracles: the brute-force row scan and the big-integer
 fold over the literal row.
@@ -147,69 +147,64 @@ def vp_row_lcm_formula(k: int, p: int) -> int:
     return row_max_vp(k, p).max_valuation
 
 
-def lcm_range_factored(n: int) -> dict[int, int]:
-    """lcm(1..n) as a prime -> exponent map, ascending: each sieve prime p
-    <= n with the largest e such that p**e <= n.
+def _power_fit_map(n: int, d: int) -> dict[int, int]:
+    """lcm(1..n) / d as an ascending prime -> exponent map, for d = 1 or
+    d = n, in one pass over the sieve primes.
 
-    Every prime gets exponent 1, and only p <= isqrt(n) can fit p**2, so
-    only those are raised further, by exact repeated multiplication. Each
-    sieve prime still passes require_prime.
+    Every prime p <= n has exponent 1 except p <= isqrt(n), which is raised
+    by exact repeated multiplication and has v_p(d) divided out on the spot.
+    What is left of d is then 1 or one prime above isqrt(n), popped. Zero
+    exponents are dropped. A negative one cannot occur, so it is reported
+    as an internal invariant failure rather than a user error.
     """
-    if n < 1:
-        raise DomainError(f"lcm_range_factored expects n >= 1, got {n}")
     primes = primes_upto(n)
     for p in primes:
         require_prime(p)
     factors = dict.fromkeys(primes, 1)
+    rest = d
     root = math.isqrt(n)
     for p in primes:
         if p > root:
             break
-        power = p * p
+        exponent, power = 1, p * p
         while power <= n:
-            factors[p] += 1
+            exponent += 1
             power *= p
-    return factors
-
-
-def lcm_binom_row_identity(k: int) -> dict[int, int]:
-    """Row lcm of C(k, 0..k) in factored form, via the fast path.
-
-    Theorem 1 as written: the lcm(1..k+1) map divided by k+1. k+1 is
-    factored by trial division over the map's primes up to the square root
-    of what is left of it; a cofactor above 1 is then one prime. Each
-    prime's v_p(k+1) is subtracted from its exponent, and zero exponents
-    are dropped. Negative exponents cannot occur, so one is reported as an
-    internal invariant failure rather than a user error.
-    """
-    if k < 0:
-        raise DomainError(f"lcm_binom_row_identity expects k >= 0, got {k}")
-    factors = lcm_range_factored(k + 1)
-    rest = k + 1
-    divisors = []
-    for p in factors:
-        if p * p > rest:
-            break
-        valuation = 0
         while rest % p == 0:
             rest //= p
-            valuation += 1
-        if valuation:
-            divisors.append((p, valuation))
-    if rest > 1:
-        divisors.append((rest, 1))
-    for p, valuation in divisors:
-        exponent = factors[p] - valuation
+            exponent -= 1
         if exponent < 0:
             raise InternalInvariantError(
-                f"negative exponent {exponent} for prime {p} at k={k}: "
-                f"v_p(k+1) exceeded the range-lcm exponent"
+                f"negative exponent {exponent} for prime {p}: "
+                f"v_{p}({d}) exceeded its exponent in lcm(1..{n})"
             )
         if exponent:
             factors[p] = exponent
         else:
             del factors[p]
+    if rest > 1:
+        factors.pop(rest)
     return factors
+
+
+def lcm_range_factored(n: int) -> dict[int, int]:
+    """lcm(1..n) as a prime -> exponent map, ascending: each sieve prime p
+    <= n with the largest e such that p**e <= n."""
+    if n < 1:
+        raise DomainError(f"lcm_range_factored expects n >= 1, got {n}")
+    return _power_fit_map(n, 1)
+
+
+def lcm_binom_row_identity(k: int) -> dict[int, int]:
+    """Row lcm of C(k, 0..k) in factored form, via the fast path.
+
+    Theorem 1 as written: lcm(1..k+1) / (k+1), built in one pass that
+    divides v_p(k+1) out at each prime up to isqrt(k+1) and drops the one
+    cofactor prime above it, never touching a binomial coefficient.
+    """
+    if k < 0:
+        raise DomainError(f"lcm_binom_row_identity expects k >= 0, got {k}")
+    return _power_fit_map(k + 1, k + 1)
 
 
 def lcm_binom_row_direct(k: int) -> int:

@@ -120,21 +120,25 @@ MUTANTS = [
      "row_max_vp(k + 1, p).max_valuation",
      "tests/test_acceptance.py::test_criterion_4_formula_checks"),
     ("range-map-short-at-4096", "src/binomlcm/identities.py",
-     "        while power <= n:\n            factors[p] += 1\n",
-     "        while power <= n - (n == 4096):\n            factors[p] += 1\n",
+     "        while power <= n:\n            exponent += 1\n",
+     "        while power <= n - (n == 4096):\n            exponent += 1\n",
      "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
     ("range-exponent-inline-misses-exact-power", "src/binomlcm/identities.py",
-     "        while power <= n:\n            factors[p] += 1\n",
-     "        while power < n:\n            factors[p] += 1\n",
+     "        while power <= n:\n            exponent += 1\n",
+     "        while power < n:\n            exponent += 1\n",
      "tests/test_identities.py::test_lcm_range_factored_is_the_power_fit_map"),
     ("row-drops-prime-cofactor", "src/binomlcm/identities.py",
-     "    if rest > 1:\n        divisors.append((rest, 1))\n",
+     "    if rest > 1:\n        factors.pop(rest)\n",
      "",
      "tests/test_identities.py::test_row_identity_matches_digit_formula"),
     ("invariant-guard-off-by-one", "src/binomlcm/identities.py",
      "        if exponent < 0:",
      "        if exponent < -1:",
      "tests/test_identities.py::test_negative_row_exponent_is_an_internal_invariant_failure"),
+    ("identity-reads-digit-formula", "src/binomlcm/identities.py",
+     "    return _power_fit_map(k + 1, k + 1)\n",
+     "    return {p: e for p in primes_upto(k + 1) if k and (e := vp_row_lcm_formula(k, p))}\n",
+     "tests/test_verify.py::test_side_reaches_no_forbidden_kernel[theorem1-identity]"),
     ("sweep-ignores-hi", "src/binomlcm/verify.py",
      "    if hi > highest:\n"
      '        raise DomainError(f"check {check} expects inputs <= {highest}, got {hi}")\n',

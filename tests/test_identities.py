@@ -205,17 +205,15 @@ def test_row_identity_examples():
     assert lcm_binom_row_identity(0) == {}
     assert lcm_binom_row_identity(1) == {}
     assert factored_value(lcm_binom_row_identity(5)) == 10  # lcm(1..6)/6
-    assert factored_value(lcm_binom_row_identity(7)) == 105  # lcm(1..8)/8
+    assert lcm_binom_row_identity(7) == {3: 1, 5: 1, 7: 1}  # lcm(1..8)/8 = 105
     with pytest.raises(DomainError):
         lcm_binom_row_identity(-3)
 
 
-def test_negative_row_exponent_is_an_internal_invariant_failure(monkeypatch):
-    # v_2(8) = 3 exceeds 2, the exponent of 2 in a faked lcm(1..8) map.
-    real_map = identities.lcm_range_factored
-    monkeypatch.setattr(identities, "lcm_range_factored", lambda n: {**real_map(n), 2: 2})
-    with pytest.raises(InternalInvariantError, match=r"prime 2 at k=7\b"):
-        lcm_binom_row_identity(7)
+def test_negative_row_exponent_is_an_internal_invariant_failure():
+    # v_2(16) = 4 exceeds 3, the exponent of 2 in lcm(1..8).
+    with pytest.raises(InternalInvariantError, match=r"prime 2:"):
+        identities._power_fit_map(8, 16)
 
 
 def test_row_direct_examples():

@@ -140,7 +140,8 @@ ISOLATED_SIDES = [
          "factored_value"],
         id="theorem1-fold"),
     pytest.param(lambda k: factored_value(lcm_binom_row_identity(k)), (30,),
-        ["binomial_row", "lcm_binom_row_direct"],
+        ["binomial_row", "lcm_binom_row_direct", "vp", "vp_lcm_range", "vp_row_lcm_formula",
+         "row_max_vp", "_digit_span", "expand"],
         id="theorem1-identity"),
     pytest.param(identities.row_max_vp_bruteforce, (30, 2),
         ["expand", "_digit_span", "row_max_vp"],
