@@ -1,8 +1,8 @@
 """Verification harness: every check recomputes one identity or bound along
 two independent routes and reports both sides plus, on disagreement, a
 witness. Failures are data, not exceptions; a sweep finishes the whole
-range and returns one RangeSummary of its failing inputs and the first
-witness, identical for every worker count."""
+range, keeps its failing inputs, recomputes the first one's witness once
+(checks are pure) and returns one RangeSummary, alike at any worker count."""
 
 from __future__ import annotations
 
@@ -258,22 +258,21 @@ CHECKS = {
 }
 
 
-def _failing_in(check: str, lo: int, hi: int) -> list[tuple[int, str]]:
-    """(input, witness) for each failing input of one named check over
-    [lo, hi], ascending."""
+def _failing_in(check: str, lo: int, hi: int) -> list[int]:
+    """The failing inputs of one named check over [lo, hi], ascending, without
+    witnesses: the sweep recomputes the first one's once, as checks are pure."""
     run = CHECKS[check]
-    reports = ((value, run(value)) for value in range(lo, hi + 1))
-    return [(value, report.witness) for value, report in reports if not report.passed]
+    return [value for value in range(lo, hi + 1) if not run(value).passed]
 
 
 def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> RangeSummary:
     """Run one named check on every input in [lo, hi] and summarize it.
 
-    Workers get contiguous ascending chunks, concatenated in chunk order, so
+    Contiguous ascending chunks return their failing inputs, joined in chunk
+    order, and the first one's witness is recomputed once, as checks are pure:
     the summary never depends on worker count or scheduling. A range past
-    either end of the check's domain is rejected before any input runs, so
-    the error is also the same at every worker count. The process pool is
-    imported only when one starts.
+    either end of the check's domain is rejected before any input runs, at
+    every worker count. The process pool is imported only when one starts.
     """
     if check not in CHECKS:
         raise UnknownCheckError(f"unknown check {check!r}; expected one of {sorted(CHECKS)}")
@@ -299,12 +298,12 @@ def verify_range_detailed(check: str, lo: int, hi: int, workers: int = 1) -> Ran
         ends = (min(start + size - 1, hi) for start in starts)
         with ProcessPoolExecutor(max_workers=workers) as pool:
             chunks = list(pool.map(_failing_in, repeat(check), starts, ends))
-    failed = [pair for chunk in chunks for pair in chunk]
+    failing = tuple(value for chunk in chunks for value in chunk)
     return RangeSummary(
         check_name=check,
         lo=lo,
         hi=hi,
-        failing=tuple(value for value, _ in failed),
-        first_witness=failed[0][1] if failed else None,
+        failing=failing,
+        first_witness=CHECKS[check](failing[0]).witness if failing else None,
         elapsed=time.perf_counter() - started,
     )

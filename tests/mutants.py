@@ -159,6 +159,14 @@ MUTANTS = [
      '                                   f"!= fold lcm {_int_text(fold)}")',
      "None)",
      "tests/test_verify.py::test_broken_side_fails_the_sweep[eq3-missing-prime]"),
+    ("sweep-witness-of-last-failure", "src/binomlcm/verify.py",
+     "CHECKS[check](failing[0]).witness",
+     "CHECKS[check](failing[-1]).witness",
+     "tests/test_verify.py::test_broken_side_fails_the_sweep[theorem1]"),
+    ("sweep-chunks-out-of-order", "src/binomlcm/verify.py",
+     "for chunk in chunks for value in chunk",
+     "for chunk in reversed(chunks) for value in chunk",
+     "tests/test_cli.py::test_verify_failure_exit_and_listing"),
 ]
 
 

@@ -1,5 +1,6 @@
 import math
 import sys
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -219,6 +220,25 @@ def test_verify_range_is_worker_independent(monkeypatch):
     (summary,) = normalized
     assert summary.failing == (3, 17, 18, 40)
     assert summary.first_witness == verify.check_theorem1(3).witness
+
+
+def test_failing_sweep_keeps_no_witness_per_input(monkeypatch, pools):
+    """Every input fails and each witness spells out 2^(n-1), so keeping one
+    per input would hold O(n^2) text; the sweep holds the inputs alone."""
+    real = verify.lcm_range_factored
+    monkeypatch.setattr(verify, "lcm_range_factored", lambda n: {2: 1} if n >= 3 else real(n))
+    tracemalloc.start()
+    try:
+        summary = verify_range_detailed("lower-bound", 1, 5000, workers=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert summary.failing == tuple(range(3, 5001))
+    assert summary.first_witness == "n=3: lcm(1..n) = 2 < 2^(n-1) = 4"
+    assert peak < 1 << 20
+    pooled = verify_range_detailed("lower-bound", 1, 5000, workers=2)
+    assert pools[-1][0] == 2
+    assert pooled._replace(elapsed=0.0) == summary._replace(elapsed=0.0)
 
 
 def test_verify_range_domain_errors():
